@@ -11,26 +11,32 @@ autoscaling policy (:mod:`repro.fleet.autoscale`) manage per-region
 capacity — with every scale-up billed through the existing cold-start /
 checkpoint-restore accounting.
 
-Two execution paths, one contract
----------------------------------
-- **Delegation**: a single-region fleet under inert routing/autoscaling
+Three execution paths, one contract
+-----------------------------------
+- **Delegated**: a single-region fleet under inert routing/autoscaling
   (:attr:`FleetConfig.is_single_cluster`) with a single tenant is run by
   handing the trace straight to ``ClusterSimulator`` — byte-identical to
   the bare cluster by construction, fast-forward and resilience
   included (golden-pinned).
-- **General**: anything else replays arrival-by-arrival.  The
-  per-region scheduling arithmetic mirrors the cluster stepping loop
-  operation-for-operation, so a single-region fleet on the general path
-  produces the same latencies/counters as
-  ``ClusterSimulator(fast_forward=False)`` (equivalence-pinned).
+- **Per-region static**: routing that never reads region state
+  (``single``, ``round-robin``, a lone routable region) lets each
+  region replay its own sub-stream in one shot, heap-analytic where
+  eligible (counted in ``RegionStats.fast_forwarded``) — the per-region
+  replay ``run_fleet_sharded`` runs in static mode, here in-process.
+- **Per-arrival**: anything else (state-coupled routing, packs, spans
+  with trace retention, or ``fast_forward=False``) replays
+  arrival-by-arrival, mirroring the cluster stepping loop
+  operation-for-operation.  A single-region fleet on either
+  non-delegated path equals ``ClusterSimulator(fast_forward=False)``
+  (equivalence-pinned).
 
 Accounting invariant (property-pinned): every offered request is
 exactly one of completed, failed, or shed —
 ``stats.offered == stats.completed + stats.failed + stats.shed``.
 
 Scope notes: non-inert :class:`ResiliencePolicy` is a cluster-level
-feature and is honoured on the delegation path only (the general path
-rejects it rather than silently dropping guarantees); crashed instances
+feature and is honoured on the delegation path only (the other paths
+reject it rather than silently dropping guarantees); crashed instances
 always restart *cold* — checkpoint restore applies to autoscaler
 spawns, restore-on-crash belongs to the resilience layer.
 """
@@ -108,6 +114,7 @@ class FleetConfig:
     shed_wait_s: Optional[float] = None
     trace_retention: Optional[str] = None
     trace_ring: int = 1024
+    # Off the delegated path, False forces the per-arrival loop.
     fast_forward: bool = True
     # Honoured on the delegation path only (see module docstring).
     resilience: Optional[ResiliencePolicy] = None
@@ -594,7 +601,7 @@ class _RegionState:
     stepping loop (`ClusterSimulator.run`) operation-for-operation —
     same reclaim predicate, same instance pick, same ``max(now,
     busy_until)`` start, same crash/reroute bookkeeping — so that a
-    single-region fleet on the general path reproduces the bare
+    single-region fleet on the per-arrival path reproduces the bare
     cluster's numbers exactly.  On top it adds what the fleet layer
     owns: an autoscaled instance cap, a keep-alive override, a warm
     floor (``min_instances``), checkpoint-restore billing for scale-up
@@ -898,7 +905,14 @@ class FleetSimulator:
         config = self.config
         if config.is_single_cluster and len(trace.tenant_names) == 1:
             return self._run_delegated(trace)
-        return self._run_general(trace)
+        # Packs couple regions through the registry fabric, and span
+        # capture binds retained traces in-region: both stay per-arrival.
+        if (config.fast_forward and config.packs is None
+                and (self.spans is None or config.trace_retention is None)):
+            stats = self._run_static(trace)
+            if stats is not None:
+                return stats
+        return self._run_per_arrival(trace)
 
     # -- delegation path ----------------------------------------------
 
@@ -939,9 +953,32 @@ class FleetSimulator:
         self._feed_metrics(stats, queue_peaks=None)
         return stats
 
-    # -- general path --------------------------------------------------
+    # -- per-region static path ---------------------------------------
 
-    def _run_general(self, trace: FleetTrace) -> FleetStats:
+    def _run_static(self, trace: FleetTrace) -> Optional[FleetStats]:
+        """Replay each region's sub-stream in one shot when routing never
+        reads region state; ``None`` when it does.  The same per-region
+        replay and merge as ``run_fleet_sharded``'s static mode, run
+        in-process: heap-analytic where a region is eligible, stepping
+        otherwise."""
+        # Local import: repro.fleet.parallel builds on this module.
+        from repro.fleet.parallel import (_finalize_region,
+                                          _replay_assigned,
+                                          _static_assignment)
+        assignment = _static_assignment(self.config, trace)
+        if assignment is None:
+            return None
+        servers = self._servers
+        stats, _ = _replay_assigned(
+            self.config, trace, assignment,
+            lambda jobs: [_finalize_region(job, servers) for job in jobs],
+            analytic=True, metrics=self.metrics, spans=self.spans,
+            slo=self.slo)
+        return stats
+
+    # -- per-arrival path ----------------------------------------------
+
+    def _run_per_arrival(self, trace: FleetTrace) -> FleetStats:
         config = self.config
         spans = self.spans
         monitors = SLOMonitorSet(self.slo) if self.slo is not None \

@@ -21,8 +21,10 @@ execution modes, picked automatically:
   sub-stream in one shot; regions under ``fixed`` / ``scale-to-zero``
   autoscaling with no fault plan ride an analytic min-heap fast path
   (the fleet twin of the cluster fast-forward, warm floor / restore
-  billing / shedding included).  Zero rollbacks by construction — this
-  is the 1e7–1e8-request throughput path.
+  billing / shedding included).  Zero rollbacks by construction.  The
+  serial ``FleetSimulator`` runs this same per-region replay and merge
+  in-process (:func:`_replay_assigned`), so at ``jobs=1`` the two take
+  the same time; only ``jobs > 1`` adds parallelism.
 - **time-warp** — state-coupled routing (``least-queue`` /
   ``warm-first`` across >= 2 routable regions).  Shards simulate
   optimistically under a guessed assignment while recording the
@@ -33,7 +35,8 @@ execution modes, picked automatically:
   divergence (straggler message), and re-runs the tail under the
   corrected guess.  The verified prefix grows strictly every round, so
   the loop terminates; in a warm steady state one round usually
-  suffices.
+  suffices.  The final pass steps every region, as the serial
+  per-arrival loop does (``fast_forwarded`` stays 0 on both).
 
 Workers regenerate the arrival stream from a :class:`TraceSpec` when
 one is supplied, so scaling to 1e8 requests never ships hundreds of
@@ -267,6 +270,7 @@ class _RegionJob:
     want_events: bool = False        # log control-plane event tuples
     detail: bool = False             # detailed completed codes (SLO)
     routing_kind: str = "single"     # the fleet_routed_total policy label
+    analytic: bool = False           # eligible regions: _serve_analytic
 
 
 @dataclass
@@ -276,7 +280,6 @@ class _RegionResult:
     stats: RegionStats
     trace_state: Optional[dict]
     outcomes: bytes
-    analytic: int
     wall_s: float
     metrics: Optional[dict] = None   # per-shard MetricsRegistry dump
     events: Optional[list] = None    # (k, code, a, b) control-plane log
@@ -286,10 +289,11 @@ def _job_trace(job: _RegionJob) -> FleetTrace:
     return job.trace if job.trace is not None else job.spec.materialize()
 
 
-def _build_state(job: _RegionJob, trace: FleetTrace) -> _RegionState:
+def _build_state(job: _RegionJob, trace: FleetTrace,
+                 servers=None) -> _RegionState:
     region = job.config
     sim = ClusterSimulator(
-        _server_for(region.device, None),
+        _server_for(region.device, servers),
         ClusterConfig(scheme=region.scheme,
                       max_instances=region.max_instances,
                       keep_alive_s=region.keep_alive_s))
@@ -559,21 +563,21 @@ def _serve_analytic(state: _RegionState, arrivals, indices,
     return served
 
 
-def _finalize_region(job: _RegionJob) -> _RegionResult:
+def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
     """Full-stats pass: replay the shard's sub-stream under the
-    verified assignment, producing the exact serial RegionStats."""
+    verified assignment, producing the exact serial RegionStats
+    (``fast_forwarded`` counts the requests served analytically)."""
     trace = _job_trace(job)
-    state = _build_state(job, trace)
+    state = _build_state(job, trace, servers)
     if job.collect_metrics:
         state.queue_depth = _QueueDepthTracker()
     arrivals = trace.arrivals
     outcomes = array("b")
     events: Optional[list] = [] if job.want_events else None
-    analytic = 0
     began = perf_counter()
-    if (job.retention is None and state.injector is None
+    if (job.analytic and job.retention is None and state.injector is None
             and state.policy.kind in ("fixed", "scale-to-zero")):
-        analytic = _serve_analytic(
+        state.stats.fast_forwarded = _serve_analytic(
             state, arrivals,
             _assigned(job.assignment, job.region_index, len(arrivals)),
             job.shed_wait_s, outcomes, events)
@@ -591,8 +595,8 @@ def _finalize_region(job: _RegionJob) -> _RegionResult:
                              state.queue_depth.peak)
         metrics_dump = registry.to_json()
     return _RegionResult(stats=stats, trace_state=trace_state,
-                         outcomes=outcomes.tobytes(), analytic=analytic,
-                         wall_s=wall, metrics=metrics_dump, events=events)
+                         outcomes=outcomes.tobytes(), wall_s=wall,
+                         metrics=metrics_dump, events=events)
 
 
 # ----------------------------------------------------------------------
@@ -698,8 +702,7 @@ def _converge_assignment(config: FleetConfig, trace: FleetTrace,
 
 
 def _merge(config: FleetConfig, trace: FleetTrace, assignment,
-           results: List[_RegionResult], report: ShardReport,
-           spans=None,
+           results: List[_RegionResult], spans=None,
            monitors: Optional[SLOMonitorSet] = None) -> FleetStats:
     """Deterministic merge: rebuild the serial FleetStats from shard
     outputs, walking tenants in global arrival order.
@@ -717,8 +720,6 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
         if result.trace_state is not None:
             region_stats.trace = TraceRecorder.from_state(result.trace_state)
         stats.regions[region.name] = region_stats
-        report.analytic_served[region.name] = result.analytic
-        report.region_wall_s[region.name] = result.wall_s
     tenants = [TenantStats(name=name) for name in trace.tenant_names]
     kind, value = assignment
     n = len(trace)
@@ -808,6 +809,43 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
     return stats
 
 
+def _replay_assigned(config: FleetConfig, trace: FleetTrace, assignment,
+                     shard_map, *, analytic: bool,
+                     spec: Optional[TraceSpec] = None, metrics=None,
+                     spans=None, slo=None
+                     ) -> Tuple[FleetStats, List[_RegionResult]]:
+    """Replay every region's sub-stream under a fixed ``assignment``
+    and merge: the sharded final pass (``shard_map`` fans the jobs over
+    the pool) and the serial static path (``shard_map`` runs them
+    in-process) share this one implementation."""
+    policy = (config.autoscale if config.autoscale is not None
+              else AutoscalePolicy())
+    monitors = SLOMonitorSet(slo) if slo is not None else None
+    jobs = [_RegionJob(region_index=i, config=region, policy=policy,
+                       shed_wait_s=config.shed_wait_s,
+                       retention=config.trace_retention,
+                       ring=config.trace_ring,
+                       trace=None if spec is not None else trace,
+                       spec=spec, assignment=assignment,
+                       collect_metrics=metrics is not None,
+                       want_events=spans is not None,
+                       detail=monitors is not None,
+                       routing_kind=config.routing.kind,
+                       analytic=analytic)
+            for i, region in enumerate(config.regions)]
+    results = shard_map(jobs)
+    stats = _merge(config, trace, assignment, results, spans=spans,
+                   monitors=monitors)
+    if monitors is not None:
+        stats.monitors = monitors.summary()
+    if metrics is not None:
+        for result in results:
+            if result.metrics:
+                metrics.merge(result.metrics)
+        _feed_tenant_metrics(metrics, stats)
+    return stats, results
+
+
 def run_fleet_sharded(config: FleetConfig,
                       trace: Union[RequestTrace, FleetTrace, None] = None,
                       jobs: int = 1, *,
@@ -860,7 +898,7 @@ def run_fleet_sharded(config: FleetConfig,
     if config.packs is not None:
         # The pack hierarchy couples regions through the registry
         # fabric (cross-region failover reads every region's outage
-        # windows), so the general path runs the serial simulator.
+        # windows), so the serial simulator's per-arrival loop runs.
         # ``packs=None`` fleets shard exactly as before.
         stats = simulator.run(trace)
         return stats, ShardReport(mode="serial", jobs=jobs, shards=0,
@@ -873,7 +911,6 @@ def run_fleet_sharded(config: FleetConfig,
     n_regions = len(config.regions)
     policy = (config.autoscale if config.autoscale is not None
               else AutoscalePolicy())
-    monitors = SLOMonitorSet(slo) if slo is not None else None
     report = ShardReport(mode="static", jobs=jobs, shards=n_regions)
     assignment = _static_assignment(config, trace)
     from repro.runner.engine import run_shards  # local: avoids a cycle
@@ -894,33 +931,19 @@ def run_fleet_sharded(config: FleetConfig,
                 pool, report, run_shards, flight)
         elif flight is not None:
             flight.begin("static", region_names, trace.arrivals)
-        final_jobs = [
-            _RegionJob(region_index=i, config=region, policy=policy,
-                       shed_wait_s=config.shed_wait_s,
-                       retention=config.trace_retention,
-                       ring=config.trace_ring,
-                       trace=None if ship_spec is not None else trace,
-                       spec=ship_spec, assignment=assignment,
-                       collect_metrics=metrics is not None,
-                       want_events=spans is not None,
-                       detail=monitors is not None,
-                       routing_kind=config.routing.kind)
-            for i, region in enumerate(config.regions)]
-        results = run_shards(_finalize_region, final_jobs, pool=pool)
-        stats = _merge(config, trace, assignment, results, report,
-                       spans=spans, monitors=monitors)
+        stats, results = _replay_assigned(
+            config, trace, assignment,
+            lambda final: run_shards(_finalize_region, final, pool=pool),
+            analytic=report.mode == "static" and config.fast_forward,
+            spec=ship_spec, metrics=metrics, spans=spans, slo=slo)
         if flight is not None:
             flight.record_final(len(trace))
-        if monitors is not None:
-            stats.monitors = monitors.summary()
-        if metrics is not None:
-            for result in results:
-                if result.metrics:
-                    metrics.merge(result.metrics)
-            _feed_tenant_metrics(metrics, stats)
     finally:
         if pool is not None:
             pool.shutdown()
+    for name, result in zip(region_names, results):
+        report.analytic_served[name] = result.stats.fast_forwarded
+        report.region_wall_s[name] = result.wall_s
     report.wall_s = perf_counter() - began
     return stats, report
 

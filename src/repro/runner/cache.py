@@ -2,10 +2,11 @@
 
 Keys are blake2b digests over everything that can change a simulation's
 outcome: the task description (device, model, scheme, batch, cluster
-knobs), the fault plan, the device's calibration constants and the code
-version.  Changing any of those — recalibrating a device, bumping the
-package version, tweaking a fault plan — yields a different key, so a
-stale cache self-invalidates without any manual flushing.
+knobs), the fault plan, the device's calibration constants, the code
+version and a digest of the package sources that compute payloads.
+Changing any of those — recalibrating a device, editing the simulator,
+tweaking a fault plan — yields a different key, so a stale cache
+self-invalidates without any manual flushing or version bump.
 
 The store is a directory of one JSON file per key under
 ``.repro-cache/objects/``.  It is *single-writer by construction*: only
@@ -18,6 +19,7 @@ truncated objects read back as misses, never as errors.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -29,21 +31,57 @@ from repro._version import __version__
 from repro.gpu.device import get_device
 from repro.runner.tasks import ExperimentTask
 
-__all__ = ["CACHE_FORMAT_VERSION", "CacheCounters", "ResultCache", "task_key"]
+__all__ = ["CACHE_FORMAT_VERSION", "CacheCounters", "ResultCache",
+           "source_digest", "task_key"]
 
 # Bump when the payload layout changes; invalidates every existing key.
 CACHE_FORMAT_VERSION = 1
+
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Package-relative paths that only present results (CLI, rendering) and
+# never feed a payload; editing them keeps cached results valid.
+_PRESENTATION = ("__main__.py", "cli.py", "report")
+
+
+def source_digest(root: str = _PACKAGE_ROOT) -> str:
+    """blake2b over every payload-computing ``.py`` source under ``root``
+    (the ``repro`` package directory), in sorted path order."""
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for name in filenames:
+            rel = os.path.relpath(os.path.join(dirpath, name), root)
+            if (name.endswith(".py")
+                    and rel.split(os.sep)[0] not in _PRESENTATION):
+                paths.append(rel.replace(os.sep, "/"))
+    digest = hashlib.blake2b(digest_size=16)
+    for rel in sorted(paths):
+        with open(os.path.join(root, rel), "rb") as handle:
+            data = handle.read()
+        digest.update(b"%s\0%d\0" % (rel.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _package_digest() -> str:
+    return source_digest()
 
 
 def task_key(task: ExperimentTask) -> str:
     """The content-addressed cache key for ``task``.
 
     blake2b over a canonical JSON encoding of the task description, the
-    device calibration constants and the code/cache-format versions.
+    device calibration constants, the code/cache-format versions and
+    the :func:`source_digest` of this package (computed once per
+    process).  The digest lives only in the key: reports never carry
+    it, so they do not move when code changes.
     """
     material = {
         "cache_format": CACHE_FORMAT_VERSION,
         "code_version": __version__,
+        "code_digest": _package_digest(),
         "task": task.describe(),
         "calibration": asdict(get_device(task.device)),
     }

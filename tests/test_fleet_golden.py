@@ -8,9 +8,11 @@ Three pins:
   queue wait, counter, fault dictionary and trace record, with
   fast-forward on and off, under fault plans and under a resilience
   policy.
-- **General-path equivalence** — the arrival-by-arrival path mirrors
+- **General-path equivalence** — both non-delegated paths reproduce
   the cluster stepping arithmetic exactly: a single-region fleet forced
-  onto it equals ``ClusterSimulator(fast_forward=False)``.
+  off delegation equals ``ClusterSimulator(fast_forward=False)`` on the
+  per-region static replay (``fast_forward=True``) and on the
+  per-arrival loop (``fast_forward=False``).
 - **Frontier report stability** — regenerating the checked-in
   ``benchmarks/fleet_frontier_report.json`` reproduces it byte-for-byte
   (run ``scripts/make_fleet_report.py`` after deliberate changes).
@@ -116,19 +118,25 @@ class TestDelegationByteIdentity:
 
 class TestGeneralPathEquivalence:
     def _general(self, fleet_trace, **region_kwargs):
-        # Non-inert routing forces the general path even for one region.
-        stats = _fleet_stats(
-            fleet_trace,
-            fleet_kwargs={"routing": RoutingPolicy("round-robin")},
-            **region_kwargs)
-        assert not stats.delegated
-        return stats
+        # Non-inert routing forces a non-delegated path even for one
+        # region; fast_forward picks the per-region static replay (True)
+        # or the per-arrival loop (False).  One replay per leg.
+        legs = []
+        for fast_forward in (True, False):
+            stats = _fleet_stats(
+                fleet_trace,
+                fleet_kwargs={"routing": RoutingPolicy("round-robin"),
+                              "fast_forward": fast_forward},
+                **region_kwargs)
+            assert not stats.delegated
+            legs.append(stats)
+        return legs
 
     def test_single_region_matches_slow_cluster(self):
         trace = poisson_trace("res", 6.0, 10.0, seed=8)
         cluster = _cluster_stats(trace, fast_forward=False)
-        fleet = self._general(FleetTrace.from_request_trace(trace))
-        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+        for fleet in self._general(FleetTrace.from_request_trace(trace)):
+            _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
     def test_multi_tenant_merge_matches_slow_cluster(self):
         merged = merge_traces(
@@ -136,22 +144,22 @@ class TestGeneralPathEquivalence:
              ("b", poisson_trace("res", 3.0, 8.0, seed=10))])
         cluster = _cluster_stats(merged.to_request_trace(),
                                  fast_forward=False)
-        fleet = self._general(merged)
-        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+        for fleet in self._general(merged):
+            _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
     def test_under_fault_plan(self):
         plan = FaultPlan(seed=13, crash_rate=0.1)
         trace = poisson_trace("res", 6.0, 8.0, seed=11)
         cluster = _cluster_stats(trace, faults=plan, fast_forward=False)
-        fleet = self._general(FleetTrace.from_request_trace(trace),
-                              faults=plan)
-        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+        for fleet in self._general(FleetTrace.from_request_trace(trace),
+                                   faults=plan):
+            _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
     def test_simultaneous_burst_arrivals(self):
         trace = burst_trace("res", 16, spacing_s=0.0)
         cluster = _cluster_stats(trace, fast_forward=False)
-        fleet = self._general(FleetTrace.from_request_trace(trace))
-        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+        for fleet in self._general(FleetTrace.from_request_trace(trace)):
+            _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
     @given(seed=st.integers(0, 300), rate=st.floats(0.5, 12.0),
            crash=st.floats(0.0, 0.15))
@@ -160,9 +168,9 @@ class TestGeneralPathEquivalence:
         plan = FaultPlan(seed=seed, crash_rate=crash) if crash else None
         trace = poisson_trace("res", rate, 5.0, seed=seed)
         cluster = _cluster_stats(trace, faults=plan, fast_forward=False)
-        fleet = self._general(FleetTrace.from_request_trace(trace),
-                              faults=plan)
-        _assert_region_equals_cluster(fleet.regions["r0"], cluster)
+        for fleet in self._general(FleetTrace.from_request_trace(trace),
+                                   faults=plan):
+            _assert_region_equals_cluster(fleet.regions["r0"], cluster)
 
 
 class TestFrontierReportGolden:

@@ -18,6 +18,7 @@ Three contracts are pinned here:
       PYTHONPATH=src python tests/make_golden_fleet_trace.py
 """
 
+import dataclasses
 import json
 import os
 
@@ -158,6 +159,18 @@ class TestShardedTelemetryIdentity:
         assert serial_metrics.to_json() == shard_metrics.to_json()
         assert serial.monitors == sharded.monitors
         assert validate_monitors(sharded.monitors) == []
+        # Independent oracle: the serial per-arrival loop shares no
+        # replay code with the static path the two runs above take.
+        step_spans, step_metrics = SpanRecorder(), MetricsRegistry()
+        stepped = FleetSimulator(
+            dataclasses.replace(config, fast_forward=False),
+            metrics=step_metrics, spans=step_spans, slo=_SLO).run(trace)
+        assert stepped.fast_forwarded == 0
+        assert [p for p in equivalence_problems(stepped, sharded)
+                if ".fast_forwarded:" not in p] == []
+        assert list(step_spans) == list(shard_spans)
+        assert step_metrics.to_json() == shard_metrics.to_json()
+        assert stepped.monitors == sharded.monitors
 
     def test_identity_holds_across_worker_processes(self):
         config = _config(AutoscalePolicy(kind="scale-to-zero",

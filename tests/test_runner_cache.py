@@ -2,21 +2,24 @@
 
 The cache must self-invalidate when anything that can change a
 simulation's outcome changes — the task description, the fault plan, the
-device calibration constants, the code version — and must treat corrupt
-objects as misses, never as errors.
+device calibration constants, the code version, the simulator sources
+— and must treat corrupt objects as misses, never as errors.
 """
 
 import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
+import repro
 import repro.runner.cache as cache_mod
 from repro.core.schemes import Scheme
 from repro.gpu.device import get_device
 from repro.runner import (CacheCounters, ExperimentTask, ResultCache,
                           execute_task, run_tasks, task_key)
+from repro.runner.cache import source_digest
 from repro.sim.faults import FaultPlan
 
 
@@ -67,6 +70,37 @@ class TestTaskKey:
         base = task_key(_task())
         monkeypatch.setattr(cache_mod, "CACHE_FORMAT_VERSION", 9999)
         assert task_key(_task()) != base
+
+    def test_changes_with_one_source_byte(self, tmp_path, monkeypatch):
+        copy = tmp_path / "repro"
+        shutil.copytree(os.path.dirname(repro.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_digest(str(copy)) == source_digest()
+        task = _task()
+        monkeypatch.setattr(cache_mod, "_package_digest",
+                            lambda: source_digest(str(copy)))
+        before = task_key(task)
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.store(before, task, {"stale": True})
+        assert cache.lookup(before) == {"stale": True}
+        source = copy / "fleet" / "parallel.py"
+        blob = bytearray(source.read_bytes())
+        blob[-1] ^= 1
+        source.write_bytes(bytes(blob))
+        after = task_key(task)
+        assert after != before
+        assert cache.lookup(after) is None
+        assert cache.counters.as_dict() == \
+            {"hits": 1, "misses": 1, "writes": 1}
+
+    def test_presentation_sources_keep_the_key(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(os.path.dirname(repro.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for rel in ("cli.py", os.path.join("report", "tables.py")):
+            with open(copy / rel, "a", encoding="utf-8") as handle:
+                handle.write("# rendering only\n")
+        assert source_digest(str(copy)) == source_digest()
 
     def test_cluster_knobs_only_affect_cluster_tasks(self):
         # Serve tasks drop the replay knobs from their description ...
