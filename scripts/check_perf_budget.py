@@ -68,7 +68,7 @@ def _detail(entry, profile):
     kind = entry.get("kind", "cluster")
     if kind == "fleet":
         return (f"mode={profile.mode}  jobs={profile.jobs}  "
-                f"rollbacks={profile.rollbacks}")
+                f"analytic={profile.fast_forward_fraction:.0%}")
     if kind == "packs":
         return (f"restores={profile.pack_restores}  "
                 f"speedup={profile.modeled_speedup_vs_cold:.2f}x-cold")

@@ -394,20 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--attribution", action="store_true",
                         help="print the cold-start attribution report "
                              "(per-phase critical path, load bytes)")
-    export.add_argument("--fleet", action="store_true",
-                        help="export the time-warp flight-recorder view "
-                             "of a sharded two-region fleet replay "
-                             "instead of a cold start (one Perfetto "
-                             "track per shard: optimistic / rolled-back "
-                             "/ committed windows)")
-    export.add_argument("--rate", type=float, default=120.0,
-                        help="fleet arrival rate for --fleet "
-                             "(default: 120)")
-    export.add_argument("--duration", type=float, default=4.0,
-                        help="fleet trace duration for --fleet "
-                             "(default: 4)")
-    export.add_argument("--seed", type=int, default=0,
-                        help="arrival stream seed for --fleet")
 
     metrics = sub.add_parser(
         "metrics", help="run an instrumented serve + cluster replay and "
@@ -623,13 +609,18 @@ def _cmd_profile(args, out) -> int:
 
 def _cmd_profile_fleet(args, out) -> int:
     from repro.runner import profile_fleet
-    fleet = profile_fleet(
-        device=args.device, model=args.model,
-        scheme=_SCHEMES[args.scheme], requests=args.scale,
-        rate_hz=args.rate, regions=args.regions,
-        instances=args.instances, keep_alive_s=args.keep_alive,
-        routing=args.routing, seed=args.seed, jobs=args.jobs,
-        compare_serial=args.compare_serial)
+    try:
+        fleet = profile_fleet(
+            device=args.device, model=args.model,
+            scheme=_SCHEMES[args.scheme], requests=args.scale,
+            rate_hz=args.rate, regions=args.regions,
+            instances=args.instances, keep_alive_s=args.keep_alive,
+            routing=args.routing, seed=args.seed, jobs=args.jobs,
+            compare_serial=args.compare_serial)
+    except (ValueError, KeyError) as exc:
+        # args[0]: a KeyError's str() would re-quote the message.
+        out(f"error: {exc.args[0] if exc.args else exc}")
+        return 2
     out(f"fleet replay: {fleet.requests} requests of {args.model!r} "
         f"under {_SCHEMES[args.scheme].label} across {fleet.regions} "
         f"region(s), {args.routing} routing, {fleet.jobs} job(s) "
@@ -638,13 +629,7 @@ def _cmd_profile_fleet(args, out) -> int:
         f"{fleet.wall_per_request_s * 1e6:.2f} us/request "
         f"({fleet.requests_per_s:,.0f} requests/s)")
     out(f"  fast-forwarded: {fleet.fast_forwarded} requests "
-        f"({fleet.fast_forward_fraction:.1%}); "
-        f"rounds {fleet.rounds}, rollbacks {fleet.rollbacks}")
-    if fleet.mode == "time-warp":
-        rounds = ", ".join(f"{wall * 1e3:.1f}" for wall in fleet.round_wall_s)
-        out(f"  flight recorder: max rollback depth "
-            f"{fleet.max_rollback_depth}, resimulated "
-            f"{fleet.resimulated} requests, round wall [{rounds}] ms")
+        f"({fleet.fast_forward_fraction:.1%})")
     if fleet.region_wall_s:
         shards = ", ".join(f"{name} {wall:.3f}s"
                            for name, wall in fleet.region_wall_s.items())
@@ -672,58 +657,8 @@ def _cmd_profile_fleet(args, out) -> int:
     return 0
 
 
-def _cmd_trace_fleet(args, out) -> int:
-    """``trace export --fleet``: the flight-recorder Perfetto view of a
-    sharded two-region time-warp replay."""
-    from repro.fleet import (FleetConfig, RegionConfig, RoutingPolicy,
-                             run_fleet_sharded)
-    from repro.obs import FlightRecorder, validate_trace, write_trace
-
-    scheme = _SCHEMES[args.scheme]
-    config = FleetConfig(
-        regions=(RegionConfig(name="us-east", device=args.device,
-                              scheme=scheme, max_instances=4),
-                 RegionConfig(name="eu-west", device="MI100",
-                              scheme=scheme, max_instances=2)),
-        routing=RoutingPolicy("warm-first"))
-    trace = poisson_trace(args.model, args.rate, args.duration,
-                          seed=args.seed)
-    flight = FlightRecorder()
-    stats, report = run_fleet_sharded(config, trace, flight=flight)
-    payload = write_trace(
-        args.output, flight.to_spans(), device="fleet",
-        metadata={"model": args.model, "scheme": scheme.label,
-                  "mode": report.mode, "rounds": report.rounds,
-                  "rollbacks": report.rollbacks,
-                  "resimulated": report.resimulated,
-                  "requests": stats.offered})
-    summary = flight.summary()
-    out(f"fleet flight recorder: {stats.offered} requests across "
-        f"{len(config.regions)} regions ({report.mode} mode)")
-    out(f"  rounds {summary['rounds']}, rollbacks {summary['rollbacks']}, "
-        f"max rollback depth {summary['max_rollback_depth']}, "
-        f"resimulated {summary['resimulated']}; "
-        f"verified prefix per round {summary['verified_prefix']}")
-    out(f"  wrote {args.output}: {len(payload['traceEvents'])} events "
-        f"(one track per shard: optimistic / rolled-back / committed)")
-    out("  open in https://ui.perfetto.dev or chrome://tracing")
-    if args.validate:
-        problems = validate_trace(payload)
-        if problems:
-            out("")
-            out("  INVALID trace:")
-            for problem in problems:
-                out(f"    {problem}")
-            return 1
-        out("  trace validated: required keys, monotonic ts per tid, "
-            "matched flow pairs")
-    return 0
-
-
 def _cmd_trace(args, out) -> int:
     # Only subcommand so far: export.
-    if args.fleet:
-        return _cmd_trace_fleet(args, out)
     from repro.obs import (SpanRecorder, attribute_request, spans_summary,
                            validate_trace, write_trace)
     scheme = _SCHEMES[args.scheme]
@@ -991,8 +926,7 @@ def _cmd_fleet(args, out) -> int:
            if stats.delegated else ""))
     if report is not None and report.mode != "delegated":
         out(f"  sharded replay: {report.mode} mode, {report.shards} "
-            f"shard(s) x {report.jobs} job(s), {report.rounds} round(s), "
-            f"{report.rollbacks} rollback(s)")
+            f"shard(s) x {report.jobs} job(s)")
     if args.telemetry:
         from repro.obs import spans_summary
         counts = spans_summary(spans)

@@ -13,6 +13,10 @@ checkpoint-restore accounting.
 
 Three execution paths, one contract
 -----------------------------------
+The paths match the three modes of
+:func:`~repro.fleet.parallel.run_fleet_sharded` (delegated / static /
+serial), which shards only the static one across processes.
+
 - **Delegated**: a single-region fleet under inert routing/autoscaling
   (:attr:`FleetConfig.is_single_cluster`) with a single tenant is run by
   handing the trace straight to ``ClusterSimulator`` — byte-identical to
@@ -26,8 +30,9 @@ Three execution paths, one contract
 - **Per-arrival**: anything else (state-coupled routing, packs, spans
   with trace retention, or ``fast_forward=False``) replays
   arrival-by-arrival, mirroring the cluster stepping loop
-  operation-for-operation.  A single-region fleet on either
-  non-delegated path equals ``ClusterSimulator(fast_forward=False)``
+  operation-for-operation; ``run_fleet_sharded`` reports it as
+  ``mode="serial"``.  A single-region fleet on either non-delegated
+  path equals ``ClusterSimulator(fast_forward=False)``
   (equivalence-pinned).
 
 Accounting invariant (property-pinned): every offered request is
@@ -972,8 +977,7 @@ class FleetSimulator:
         stats, _ = _replay_assigned(
             self.config, trace, assignment,
             lambda jobs: [_finalize_region(job, servers) for job in jobs],
-            analytic=True, metrics=self.metrics, spans=self.spans,
-            slo=self.slo)
+            metrics=self.metrics, spans=self.spans, slo=self.slo)
         return stats
 
     # -- per-arrival path ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Sharded optimistic-parallel fleet replay (time-warp semantics).
+"""Sharded fleet replay: one region per shard, byte-identical to serial.
 
 :func:`run_fleet_sharded` partitions a :class:`FleetSimulator` replay
 by region across the runner's process pool and merges the shard
@@ -10,8 +10,10 @@ trace records and tenant accounting (equivalence-pinned by
 
 The only cross-region coupling in a fleet replay is the *routing
 decision*: ``idle_tick`` / ``observe_arrival`` / shedding / serving all
-mutate the routed region alone.  That observation yields three
-execution modes, picked automatically:
+mutate the routed region alone.  When routing never reads region state
+the whole assignment is known up front, and every region can replay its
+own sub-stream independently.  That yields three execution modes,
+picked automatically:
 
 - **delegated** — a single-cluster fleet takes the existing delegation
   path untouched (cluster fast-forward included).
@@ -21,22 +23,15 @@ execution modes, picked automatically:
   sub-stream in one shot; regions under ``fixed`` / ``scale-to-zero``
   autoscaling with no fault plan ride an analytic min-heap fast path
   (the fleet twin of the cluster fast-forward, warm floor / restore
-  billing / shedding included).  Zero rollbacks by construction.  The
-  serial ``FleetSimulator`` runs this same per-region replay and merge
-  in-process (:func:`_replay_assigned`), so at ``jobs=1`` the two take
-  the same time; only ``jobs > 1`` adds parallelism.
-- **time-warp** — state-coupled routing (``least-queue`` /
-  ``warm-first`` across >= 2 routable regions).  Shards simulate
-  optimistically under a guessed assignment while recording the
-  observation vector the router would have queried (predicted wait +
-  warm-idle flag per arrival); the coordinator replays the router over
-  those observations, verifies the longest correct prefix, rolls every
-  shard back to its newest checkpoint at or before the first
-  divergence (straggler message), and re-runs the tail under the
-  corrected guess.  The verified prefix grows strictly every round, so
-  the loop terminates; in a warm steady state one round usually
-  suffices.  The final pass steps every region, as the serial
-  per-arrival loop does (``fast_forwarded`` stays 0 on both).
+  billing / shedding included).  The serial ``FleetSimulator`` runs
+  this same per-region replay and merge in-process
+  (:func:`_replay_assigned`), so at ``jobs=1`` the two take the same
+  time; only ``jobs > 1`` adds parallelism.
+- **serial** — everything else: state-coupled routing (``least-queue``
+  / ``warm-first`` across >= 2 routable regions), kernel packs (the
+  registry fabric couples regions), and span capture combined with
+  trace retention.  ``run_fleet_sharded`` hands the trace to
+  ``FleetSimulator.run`` and reports ``shards=0``.
 
 Workers regenerate the arrival stream from a :class:`TraceSpec` when
 one is supplied, so scaling to 1e8 requests never ships hundreds of
@@ -61,17 +56,15 @@ from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
                                _emit_shed, _emit_unroutable,
                                _feed_region_metrics, _feed_tenant_metrics,
                                _server_for)
-from repro.fleet.routing import RouterState, RoutingPolicy
+from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
-from repro.serving.cluster import ClusterConfig, ClusterSimulator, _Instance
+from repro.serving.cluster import ClusterConfig, ClusterSimulator
 from repro.serving.requests import RequestTrace, poisson_trace
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["TraceSpec", "ShardReport", "run_fleet_sharded",
            "equivalence_problems"]
-
-DEFAULT_CHECKPOINT_EVERY = 2048
 
 # Per-arrival outcome codes a shard reports back for tenant accounting.
 # The detailed completed codes (cold / restore) let the coordinator
@@ -118,19 +111,18 @@ class TraceSpec:
 class ShardReport:
     """How a sharded replay executed (the results are in the stats)."""
 
-    mode: str    # "delegated" | "static" | "time-warp" | "serial" (packs)
+    mode: str    # "delegated" | "static" | "serial"
     jobs: int
     shards: int                # regions replayed as parallel shards
-    rounds: int = 0            # optimistic rounds (time-warp only)
-    rollbacks: int = 0         # shard re-simulations after a divergence
     analytic_served: Dict[str, int] = field(default_factory=dict)
     region_wall_s: Dict[str, float] = field(default_factory=dict)
     wall_s: float = 0.0
-    # --- flight telemetry (zeroed outside time-warp mode, so profile
-    # output stays stable to parse) --------------------------------
-    max_rollback_depth: int = 0   # deepest per-shard re-simulation
-    resimulated: int = 0          # arrivals re-simulated across rollbacks
-    round_wall_s: List[float] = field(default_factory=list)
+    # Always 0: no mode rolls back any more; kept only because
+    # perfbench/timewarp.py still prints them.
+    rounds: int = 0
+    rollbacks: int = 0
+    resimulated: int = 0
+    max_rollback_depth: int = 0
 
     @property
     def analytic_total(self) -> int:
@@ -182,31 +174,12 @@ class _DrainProxy:
         return not any(start <= now < end for start, end in self.windows)
 
 
-class _ObsProxy(_DrainProxy):
-    """Region stand-in answering router queries from a shard's recorded
-    observation vector (indexed by the coordinator via ``k``)."""
-
-    __slots__ = ("waits", "warms", "k")
-
-    def __init__(self, windows, waits, warms) -> None:
-        super().__init__(windows)
-        self.waits = waits
-        self.warms = warms
-        self.k = 0
-
-    def predicted_wait(self, now: float) -> float:
-        return self.waits[self.k]
-
-    def has_warm_idle(self, now: float) -> bool:
-        return bool(self.warms[self.k])
-
-
 def _static_assignment(config: FleetConfig, trace: FleetTrace):
     """The exact assignment when routing never reads region state.
 
     Returns an encoding, or ``None`` when the policy is state-coupled
     (``least-queue`` / ``warm-first`` with >= 2 routable regions at
-    some arrival) and the time-warp rounds must resolve it.
+    some arrival) and only the serial loop can resolve it.
     """
     kind = config.routing.kind
     n_regions = len(config.regions)
@@ -237,20 +210,6 @@ def _static_assignment(config: FleetConfig, trace: FleetTrace):
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Checkpoint:
-    """Rollback point: everything a region's evolution depends on."""
-
-    index: int                 # state after arrivals [0, index)
-    instances: Tuple[Tuple[float, float, bool], ...]
-    cap: int
-    rate: float
-    last_arrival: Optional[float]
-    last_prewarm: Optional[float]
-    ever_warm: bool
-    draws: Optional[Dict[str, int]]
-
-
-@dataclass(frozen=True)
 class _RegionJob:
     """One shard's worth of work: a region plus its assigned arrivals."""
 
@@ -263,9 +222,7 @@ class _RegionJob:
     trace: Optional[FleetTrace]      # explicit arrivals, or ...
     spec: Optional[TraceSpec]        # ... regenerated in-worker
     assignment: tuple
-    checkpoint_every: int = 0        # 0: no checkpoints (final pass)
-    restart: Optional[_Checkpoint] = None
-    # --- telemetry knobs (final pass only) ----------------------------
+    # --- telemetry knobs ----------------------------------------------
     collect_metrics: bool = False    # feed a fresh registry, ship a dump
     want_events: bool = False        # log control-plane event tuples
     detail: bool = False             # detailed completed codes (SLO)
@@ -275,7 +232,7 @@ class _RegionJob:
 
 @dataclass
 class _RegionResult:
-    """A shard's final-pass output, ready for the deterministic merge."""
+    """A shard's output, ready for the deterministic merge."""
 
     stats: RegionStats
     trace_state: Optional[dict]
@@ -299,78 +256,6 @@ def _build_state(job: _RegionJob, trace: FleetTrace,
                       keep_alive_s=region.keep_alive_s))
     return _RegionState(region, sim, job.policy, trace.model, trace.batch,
                         job.retention, job.ring)
-
-
-def _snapshot(state: _RegionState, index: int) -> _Checkpoint:
-    scaler = state.scaler
-    return _Checkpoint(
-        index=index,
-        instances=tuple((i.busy_until, i.last_used, i.warm)
-                        for i in state.instances),
-        cap=scaler.cap,
-        rate=scaler._rate,
-        last_arrival=scaler._last_arrival,
-        last_prewarm=scaler._last_prewarm,
-        ever_warm=state.ever_warm,
-        draws=(dict(state.injector._draws)
-               if state.injector is not None else None))
-
-
-def _restore(state: _RegionState, checkpoint: _Checkpoint) -> None:
-    state.instances[:] = [
-        _Instance(busy_until=busy, last_used=last, warm=warm)
-        for busy, last, warm in checkpoint.instances]
-    scaler = state.scaler
-    scaler.cap = checkpoint.cap
-    scaler._rate = checkpoint.rate
-    scaler._last_arrival = checkpoint.last_arrival
-    scaler._last_prewarm = checkpoint.last_prewarm
-    state.ever_warm = checkpoint.ever_warm
-    if state.injector is not None:
-        state.injector._draws.clear()
-        state.injector._draws.update(checkpoint.draws)
-
-
-def _observe_region(job: _RegionJob):
-    """Optimistic round: simulate under the guessed assignment and
-    record the observation vector the router would have queried.
-
-    Stats collected here are scratch — only the observations, the
-    checkpoints and the (rolled-back) state evolution matter.  The
-    queries are evaluated exactly where the serial loop evaluates them:
-    after the region's own idle tick, before any serve at that arrival.
-    """
-    trace = _job_trace(job)
-    state = _build_state(job, trace)
-    start = 0
-    if job.restart is not None:
-        _restore(state, job.restart)
-        start = job.restart.index
-    arrivals = trace.arrivals
-    mine = job.region_index
-    member = _membership(job.assignment)
-    shed_wait = job.shed_wait_s
-    scaler = state.scaler
-    every = job.checkpoint_every
-    waits = array("d")
-    warms = bytearray()
-    checkpoints: List[_Checkpoint] = []
-    for k in range(start, len(arrivals)):
-        if every and k > start and k % every == 0:
-            checkpoints.append(_snapshot(state, k))
-        t = arrivals[k]
-        scaler.idle_tick(state, t)
-        waits.append(state.predicted_wait(t))
-        warms.append(1 if state.has_warm_idle(t) else 0)
-        if member(k) != mine:
-            continue
-        if shed_wait is not None and state.predicted_wait(t) > shed_wait:
-            continue  # shed: no state change
-        extra = scaler.observe_arrival(state, t)
-        if extra:
-            state.prewarm(extra, t)
-        state.serve(t)
-    return start, waits.tobytes(), bytes(warms), checkpoints
 
 
 def _serve_one(state: _RegionState, t: float, shed_wait: Optional[float],
@@ -564,9 +449,9 @@ def _serve_analytic(state: _RegionState, arrivals, indices,
 
 
 def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
-    """Full-stats pass: replay the shard's sub-stream under the
-    verified assignment, producing the exact serial RegionStats
-    (``fast_forwarded`` counts the requests served analytically)."""
+    """Replay the shard's sub-stream under its assignment, producing
+    the exact serial RegionStats (``fast_forwarded`` counts the
+    requests served analytically)."""
     trace = _job_trace(job)
     state = _build_state(job, trace, servers)
     if job.collect_metrics:
@@ -602,104 +487,6 @@ def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-
-def _converge_assignment(config: FleetConfig, trace: FleetTrace,
-                         spec: Optional[TraceSpec],
-                         policy: AutoscalePolicy, checkpoint_every: int,
-                         pool, report: ShardReport, run_shards,
-                         flight=None):
-    """Time-warp rounds: iterate optimistic simulation + router replay
-    until the guessed assignment is verified end to end."""
-    n = len(trace)
-    n_regions = len(config.regions)
-    arrivals = trace.arrivals
-    drains = [_DrainProxy(r.drain_windows) for r in config.regions]
-    # Initial guess: spread routable arrivals round-robin — cheap, and
-    # close to what both balanced policies converge to.
-    seeder = RouterState(RoutingPolicy("round-robin"))
-    guess = array("b")
-    for t in arrivals:
-        choice = seeder.choose(drains, t)
-        guess.append(-1 if choice is None else choice)
-    waits = [array("d", bytes(8 * n)) for _ in range(n_regions)]
-    warms = [bytearray(n) for _ in range(n_regions)]
-    proxies = [_ObsProxy(drains[i].windows, waits[i], warms[i])
-               for i in range(n_regions)]
-    checkpoints: List[List[_Checkpoint]] = [[] for _ in range(n_regions)]
-    restarts: List[Optional[_Checkpoint]] = [None] * n_regions
-    router = RouterState(config.routing)
-    verified = 0
-    while True:
-        round_index = report.rounds
-        report.rounds += 1
-        round_began = perf_counter()
-        starts = [restarts[i].index if restarts[i] is not None else 0
-                  for i in range(n_regions)]
-        verified_before = verified
-        jobs = [_RegionJob(region_index=i, config=region, policy=policy,
-                           shed_wait_s=config.shed_wait_s, retention=None,
-                           ring=config.trace_ring,
-                           trace=None if spec is not None else trace,
-                           spec=spec,
-                           assignment=("explicit", guess.tobytes()),
-                           checkpoint_every=checkpoint_every,
-                           restart=restarts[i])
-                for i, region in enumerate(config.regions)]
-        for i, (start, wait_bytes, warm_bytes, fresh) in enumerate(
-                run_shards(_observe_region, jobs, pool=pool)):
-            chunk = array("d")
-            chunk.frombytes(wait_bytes)
-            waits[i][start:] = chunk
-            warms[i][start:] = warm_bytes
-            checkpoints[i].extend(fresh)
-        # Replay the router over the recorded observations.  Up to the
-        # first divergence every shard processed exactly the serial
-        # arrival set, so those observations — and the decisions they
-        # imply — are the serial ones (induction on the prefix).
-        mismatch = None
-        for k in range(verified, n):
-            for proxy in proxies:
-                proxy.k = k
-            choice = router.choose(proxies, arrivals[k])
-            code = -1 if choice is None else choice
-            if code != guess[k]:
-                mismatch = k
-                guess[k] = code
-                break
-        if mismatch is None:
-            report.round_wall_s.append(perf_counter() - round_began)
-            if flight is not None:
-                flight.record_round(round_index, starts, n, None,
-                                    verified_before)
-            return ("explicit", guess.tobytes())
-        verified = mismatch + 1
-        # Re-guess the tail from the (stale but informed) observations.
-        for k in range(verified, n):
-            for proxy in proxies:
-                proxy.k = k
-            choice = router.choose(proxies, arrivals[k])
-            guess[k] = -1 if choice is None else choice
-        # Straggler message: roll every shard back to its newest
-        # checkpoint at or before the divergence; later checkpoints
-        # were built on a wrong assignment and are dropped.
-        for i in range(n_regions):
-            keep = [cp for cp in checkpoints[i] if cp.index <= mismatch]
-            checkpoints[i] = keep
-            restarts[i] = keep[-1] if keep else None
-        report.rollbacks += n_regions
-        restart_indices = [restarts[i].index if restarts[i] is not None
-                           else 0 for i in range(n_regions)]
-        for restart in restart_indices:
-            depth = n - restart
-            if depth > report.max_rollback_depth:
-                report.max_rollback_depth = depth
-            report.resimulated += depth
-        report.round_wall_s.append(perf_counter() - round_began)
-        if flight is not None:
-            flight.record_round(round_index, starts, n, mismatch,
-                                verified_before,
-                                restarts=restart_indices)
-
 
 def _merge(config: FleetConfig, trace: FleetTrace, assignment,
            results: List[_RegionResult], spans=None,
@@ -810,13 +597,12 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
 
 
 def _replay_assigned(config: FleetConfig, trace: FleetTrace, assignment,
-                     shard_map, *, analytic: bool,
-                     spec: Optional[TraceSpec] = None, metrics=None,
-                     spans=None, slo=None
+                     shard_map, *, spec: Optional[TraceSpec] = None,
+                     metrics=None, spans=None, slo=None
                      ) -> Tuple[FleetStats, List[_RegionResult]]:
     """Replay every region's sub-stream under a fixed ``assignment``
-    and merge: the sharded final pass (``shard_map`` fans the jobs over
-    the pool) and the serial static path (``shard_map`` runs them
+    and merge: the sharded static mode (``shard_map`` fans the jobs
+    over the pool) and the serial static path (``shard_map`` runs them
     in-process) share this one implementation."""
     policy = (config.autoscale if config.autoscale is not None
               else AutoscalePolicy())
@@ -831,7 +617,7 @@ def _replay_assigned(config: FleetConfig, trace: FleetTrace, assignment,
                        want_events=spans is not None,
                        detail=monitors is not None,
                        routing_kind=config.routing.kind,
-                       analytic=analytic)
+                       analytic=config.fast_forward)
             for i, region in enumerate(config.regions)]
     results = shard_map(jobs)
     stats = _merge(config, trace, assignment, results, spans=spans,
@@ -850,9 +636,8 @@ def run_fleet_sharded(config: FleetConfig,
                       trace: Union[RequestTrace, FleetTrace, None] = None,
                       jobs: int = 1, *,
                       trace_spec: Optional[TraceSpec] = None,
-                      checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
                       metrics: Optional[MetricsRegistry] = None,
-                      spans=None, slo=None, flight=None
+                      spans=None, slo=None
                       ) -> Tuple[FleetStats, ShardReport]:
     """Replay ``trace`` sharded by region; byte-identical to serial.
 
@@ -862,22 +647,21 @@ def run_fleet_sharded(config: FleetConfig,
     workers regenerate arrivals locally instead of unpickling them; if
     both ``trace`` and ``trace_spec`` are given they must describe the
     same stream (the spec is purely a shipping optimization).
-    ``checkpoint_every`` bounds time-warp rollback cost: shards
-    snapshot their full evolution (instances, autoscaler cursors, fault
-    draws) every that-many arrivals.
+
+    Regions shard only when the static per-region replay applies: no
+    packs, routing that :func:`_static_assignment` can precompute, and
+    no span capture combined with trace retention.  Every other fleet
+    runs ``FleetSimulator.run`` and reports ``mode="serial"``,
+    ``shards=0``.
 
     Telemetry mirrors :class:`FleetSimulator`: ``metrics`` /
     ``spans`` / ``slo`` produce dumps, span lists and monitor
     summaries byte-identical to a serial run with the same sinks
     (workers feed fresh per-shard registries whose dumps merge
     associatively; control-plane spans replay on the coordinator).
-    ``flight`` — a :class:`~repro.obs.flight.FlightRecorder` — captures
-    the optimistic rounds / rollbacks for the Perfetto flight view.
     """
-    if checkpoint_every < 0:
-        raise ValueError("checkpoint_every must be non-negative")
     began = perf_counter()
-    # Validates config combinations; also the delegated-path runner.
+    # Validates config combinations; also the delegated/serial runner.
     simulator = FleetSimulator(config, metrics=metrics, spans=spans,
                                slo=slo)
     if trace is None:
@@ -887,32 +671,23 @@ def run_fleet_sharded(config: FleetConfig,
     if isinstance(trace, RequestTrace):
         trace = FleetTrace.from_request_trace(trace)
     jobs = max(1, jobs)
-    region_names = [region.name for region in config.regions]
     if config.is_single_cluster and len(trace.tenant_names) == 1:
-        if flight is not None:
-            flight.begin("delegated", region_names, trace.arrivals)
-            flight.record_final(len(trace))
         stats = simulator.run(trace)
         return stats, ShardReport(mode="delegated", jobs=jobs, shards=0,
                                   wall_s=perf_counter() - began)
-    if config.packs is not None:
-        # The pack hierarchy couples regions through the registry
-        # fabric (cross-region failover reads every region's outage
-        # windows), so the serial simulator's per-arrival loop runs.
-        # ``packs=None`` fleets shard exactly as before.
+    # Packs couple regions through the registry fabric, and span
+    # capture binds retained traces in-region: both stay serial, as
+    # does routing that reads region state.
+    assignment = None
+    if config.packs is None and (spans is None
+                                 or config.trace_retention is None):
+        assignment = _static_assignment(config, trace)
+    if assignment is None:
         stats = simulator.run(trace)
         return stats, ShardReport(mode="serial", jobs=jobs, shards=0,
                                   wall_s=perf_counter() - began)
-    if spans is not None and config.trace_retention is not None:
-        raise ValueError(
-            "sharded span capture does not compose with trace retention "
-            "(request-level recorders bind to the span recorder "
-            "in-region); run the serial FleetSimulator for that combo")
     n_regions = len(config.regions)
-    policy = (config.autoscale if config.autoscale is not None
-              else AutoscalePolicy())
     report = ShardReport(mode="static", jobs=jobs, shards=n_regions)
-    assignment = _static_assignment(config, trace)
     from repro.runner.engine import run_shards  # local: avoids a cycle
     pool = None
     try:
@@ -921,29 +696,17 @@ def run_fleet_sharded(config: FleetConfig,
                 max_workers=min(jobs, n_regions))
         # Regenerating from the spec only pays off across a process
         # boundary; in-process shards share the materialized arrivals.
-        ship_spec = trace_spec if pool is not None else None
-        if assignment is None:
-            report.mode = "time-warp"
-            if flight is not None:
-                flight.begin("time-warp", region_names, trace.arrivals)
-            assignment = _converge_assignment(
-                config, trace, ship_spec, policy, checkpoint_every,
-                pool, report, run_shards, flight)
-        elif flight is not None:
-            flight.begin("static", region_names, trace.arrivals)
         stats, results = _replay_assigned(
             config, trace, assignment,
-            lambda final: run_shards(_finalize_region, final, pool=pool),
-            analytic=report.mode == "static" and config.fast_forward,
-            spec=ship_spec, metrics=metrics, spans=spans, slo=slo)
-        if flight is not None:
-            flight.record_final(len(trace))
+            lambda shards: run_shards(_finalize_region, shards, pool=pool),
+            spec=trace_spec if pool is not None else None,
+            metrics=metrics, spans=spans, slo=slo)
     finally:
         if pool is not None:
             pool.shutdown()
-    for name, result in zip(region_names, results):
-        report.analytic_served[name] = result.stats.fast_forwarded
-        report.region_wall_s[name] = result.wall_s
+    for region, result in zip(config.regions, results):
+        report.analytic_served[region.name] = result.stats.fast_forwarded
+        report.region_wall_s[region.name] = result.wall_s
     report.wall_s = perf_counter() - began
     return stats, report
 

@@ -14,7 +14,6 @@ exporter formats.
 from repro.obs.attribution import (Attribution, attribute_request,
                                    attribute_result, attribute_spans,
                                    spans_breakdown, spans_from_trace)
-from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                exponential_buckets, merge_dumps,
                                validate_dump)
@@ -33,5 +32,5 @@ __all__ = [
     "trace_events", "to_perfetto", "write_trace", "validate_trace",
     "spans_summary",
     "SLOPolicy", "Alert", "SLOMonitorSet", "validate_monitors",
-    "emit_alert_spans", "FlightRecorder",
+    "emit_alert_spans",
 ]

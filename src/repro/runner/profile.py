@@ -126,19 +126,12 @@ class FleetProfile:
     requests: int
     regions: int
     jobs: int
-    mode: str                      # "delegated" | "static" | "time-warp"
+    mode: str                      # "delegated" | "static" | "serial"
     wall_s: float
     serial_wall_s: float           # 0.0 unless compare_serial was set
-    rounds: int
-    rollbacks: int
     fast_forwarded: int            # requests served by the analytic path
     region_wall_s: dict
     mean_latency_s: float
-    # Flight-recorder stats — zeroed outside time-warp mode, so the
-    # ``repro profile --fleet`` output stays stable to parse.
-    max_rollback_depth: int = 0
-    resimulated: int = 0
-    round_wall_s: tuple = ()
 
     @property
     def wall_per_request_s(self) -> float:
@@ -223,14 +216,9 @@ def profile_fleet(device: str = "MI100", model: str = "res",
         mode=report.mode,
         wall_s=wall,
         serial_wall_s=serial_wall,
-        rounds=report.rounds,
-        rollbacks=report.rollbacks,
         fast_forwarded=report.analytic_total,
         region_wall_s=dict(report.region_wall_s),
         mean_latency_s=mean_latency,
-        max_rollback_depth=report.max_rollback_depth,
-        resimulated=report.resimulated,
-        round_wall_s=tuple(report.round_wall_s),
     )
 
 

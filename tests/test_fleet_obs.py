@@ -1,26 +1,19 @@
-"""The fleet observability plane: control-plane spans, SLO monitors,
-the time-warp flight recorder and the golden fleet Perfetto export.
+"""The fleet observability plane: control-plane spans and SLO monitors.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 - **Byte-inertness** — attaching any combination of telemetry sinks
-  (spans, metrics, monitors, flight recorder) to a fleet replay leaves
-  every stat byte-identical to the telemetry-off run, serial and
-  sharded alike (hypothesis-pinned across configs).
+  (spans, metrics, monitors) to a fleet replay leaves every stat
+  byte-identical to the telemetry-off run, serial and sharded alike
+  (hypothesis-pinned across configs).
 - **Serial/sharded telemetry identity** — a telemetry-on sharded
   replay produces byte-identical span lists, metrics dumps and monitor
-  summaries to the telemetry-on serial replay, in static and time-warp
-  mode, in-process and across worker processes.
-- **Golden flight recording** — the two-region flight-recorder export
-  behind ``repro trace export --fleet`` is pinned structurally in
-  ``tests/data/golden_fleet_trace.json``, regenerated with::
-
-      PYTHONPATH=src python tests/make_golden_fleet_trace.py
+  summaries to the telemetry-on serial replay and to the per-arrival
+  loop, in static mode and in the serial fallback, in-process and
+  across worker processes.
 """
 
 import dataclasses
-import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,13 +24,9 @@ from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          RegionConfig, RoutingPolicy, equivalence_problems,
                          run_fleet_sharded)
 from repro.fleet.fleet import _QueueDepthTracker
-from repro.obs import (FlightRecorder, MetricsRegistry, SLOMonitorSet,
-                       SLOPolicy, SpanRecorder, to_perfetto, validate_dump,
-                       validate_monitors, validate_trace, write_trace)
+from repro.obs import (MetricsRegistry, SLOMonitorSet, SLOPolicy,
+                       SpanRecorder, validate_dump, validate_monitors)
 from repro.serving.requests import RequestTrace, poisson_trace
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
-                           "golden_fleet_trace.json")
 
 _SLO = SLOPolicy(availability_target=0.999, p99_target_s=1.0,
                  cold_rate_target=0.5, window_s=2.0)
@@ -56,27 +45,6 @@ def _config(autoscale=None, routing="warm-first", shed_wait_s=None):
 
 def _trace(rate=60.0, duration=2.0, seed=0):
     return poisson_trace("res", rate, duration, seed=seed)
-
-
-def _export_fleet(path):
-    """Mirror of ``repro trace export --fleet`` with its defaults, so
-    the golden pins the exact CLI artifact."""
-    config = FleetConfig(
-        regions=(RegionConfig(name="us-east", device="MI100",
-                              scheme=Scheme.PASK, max_instances=4),
-                 RegionConfig(name="eu-west", device="MI100",
-                              scheme=Scheme.PASK, max_instances=2)),
-        routing=RoutingPolicy("warm-first"))
-    trace = poisson_trace("res", 120.0, 4.0, seed=0)
-    flight = FlightRecorder()
-    stats, report = run_fleet_sharded(config, trace, flight=flight)
-    return write_trace(
-        path, flight.to_spans(), device="fleet",
-        metadata={"model": "res", "scheme": Scheme.PASK.label,
-                  "mode": report.mode, "rounds": report.rounds,
-                  "rollbacks": report.rollbacks,
-                  "resimulated": report.resimulated,
-                  "requests": stats.offered})
 
 
 class TestControlPlaneSpans:
@@ -138,13 +106,26 @@ class TestControlPlaneSpans:
 
 
 class TestShardedTelemetryIdentity:
-    @pytest.mark.parametrize("autoscale,routing", [
-        (None, "round-robin"),                                    # static
-        (AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.2),
-         "warm-first"),                                           # time-warp
+    @pytest.mark.parametrize("autoscale,routing,shed_wait_s", [
+        pytest.param(None, "round-robin", None, id="None-round-robin"),
+        pytest.param(AutoscalePolicy(kind="scale-to-zero",
+                                     idle_timeout_s=0.2),
+                     "warm-first", None, id="autoscale1-warm-first"),
+        # Reactive stepping: idle ticks at every fleet arrival, and the
+        # scale-down / scale-up / shed events the merge replays.
+        pytest.param(AutoscalePolicy(kind="reactive", min_instances=1,
+                                     scale_up_wait_s=0.0005,
+                                     scale_down_idle_s=0.05),
+                     "round-robin", 0.005, id="reactive-round-robin-shed"),
+        pytest.param(AutoscalePolicy(kind="predictive",
+                                     prewarm_headroom=20.0,
+                                     idle_timeout_s=0.05,
+                                     prewarm_cooldown_s=0.2),
+                     "round-robin", None, id="predictive-round-robin"),
     ])
-    def test_spans_metrics_monitors_match_serial(self, autoscale, routing):
-        config = _config(autoscale, routing=routing)
+    def test_spans_metrics_monitors_match_serial(self, autoscale, routing,
+                                                 shed_wait_s):
+        config = _config(autoscale, routing=routing, shed_wait_s=shed_wait_s)
         trace = _trace()
         serial_spans, serial_metrics = SpanRecorder(), MetricsRegistry()
         serial = FleetSimulator(config, metrics=serial_metrics,
@@ -153,7 +134,8 @@ class TestShardedTelemetryIdentity:
         sharded, report = run_fleet_sharded(
             config, trace, metrics=shard_metrics, spans=shard_spans,
             slo=_SLO)
-        assert report.mode in ("static", "time-warp")
+        assert report.mode == ("static" if routing == "round-robin"
+                               else "serial")
         assert equivalence_problems(serial, sharded) == []
         assert list(serial_spans) == list(shard_spans)
         assert serial_metrics.to_json() == shard_metrics.to_json()
@@ -185,7 +167,9 @@ class TestShardedTelemetryIdentity:
         assert equivalence_problems(serial, sharded) == []
         assert serial_metrics.to_json() == shard_metrics.to_json()
 
-    def test_span_capture_rejects_trace_retention(self):
+    def test_span_capture_with_trace_retention_falls_back_to_serial(self):
+        # Retained request traces bind to the span recorder in-region,
+        # so this combination replays on the serial loop, unsharded.
         config = FleetConfig(
             regions=(RegionConfig(name="us-east", device="MI100",
                                   scheme=Scheme.PASK, max_instances=2),
@@ -193,8 +177,14 @@ class TestShardedTelemetryIdentity:
                                   scheme=Scheme.PASK, max_instances=2)),
             routing=RoutingPolicy("round-robin"),
             trace_retention="aggregate")
-        with pytest.raises(ValueError, match="trace retention"):
-            run_fleet_sharded(config, _trace(), spans=SpanRecorder())
+        serial_spans = SpanRecorder()
+        serial = FleetSimulator(config, spans=serial_spans).run(_trace())
+        shard_spans = SpanRecorder()
+        sharded, report = run_fleet_sharded(config, _trace(), jobs=2,
+                                            spans=shard_spans)
+        assert (report.mode, report.shards) == ("serial", 0)
+        assert equivalence_problems(serial, sharded) == []
+        assert list(serial_spans) == list(shard_spans)
 
 
 @st.composite
@@ -224,7 +214,7 @@ class TestNoPerturbationProperty:
                                 spans=SpanRecorder(), slo=_SLO).run(trace)
         sharded, _ = run_fleet_sharded(
             config, trace, metrics=MetricsRegistry(), spans=SpanRecorder(),
-            slo=_SLO, flight=FlightRecorder())
+            slo=_SLO)
         # Monitors are the one field only telemetry-on runs carry.
         assert serial.monitors is not None
         assert serial.monitors == sharded.monitors
@@ -299,65 +289,6 @@ class TestQueueDepthTracker:
         assert tracker.peak == 0
 
 
-class TestFlightRecorder:
-    def _recorded(self):
-        flight = FlightRecorder()
-        flight.begin("time-warp", ("us-east", "eu-west"), (0.0, 0.5, 1.0,
-                                                           1.5, 2.0))
-        flight.record_round(0, (0, 0), 5, None, 0)
-        flight.record_round(1, (0, 0), 5, 2, 2, restarts=(2, 3))
-        flight.record_round(2, (2, 3), 5, None, 5)
-        flight.record_final(5)
-        return flight
-
-    def test_digest_counts(self):
-        flight = self._recorded()
-        assert flight.rollbacks == 1
-        assert flight.max_rollback_depth == 3
-        assert flight.resimulated == 5
-        summary = flight.summary()
-        assert summary["rounds"] == 3
-        assert summary["verified_prefix"] == [0, 2, 5]
-
-    def test_spans_validate_as_perfetto(self):
-        flight = self._recorded()
-        payload = to_perfetto(flight.to_spans(), device="fleet")
-        assert validate_trace(payload) == []
-        names = {e["name"] for e in payload["traceEvents"]
-                 if e.get("ph") == "X"}
-        assert any(n.startswith("round-") for n in names)
-        assert any(n.startswith("rollback-") for n in names)
-        assert "final" in names
-
-    def test_one_track_per_shard(self):
-        payload = to_perfetto(self._recorded().to_spans(), device="fleet")
-        tids = {e["tid"] for e in payload["traceEvents"]
-                if e.get("ph") == "X"}
-        # Two shard tracks plus the coordinator's divergence track.
-        assert len(tids) == 3
-
-
-class TestGoldenFleetTrace:
-    def test_export_is_deterministic_across_runs(self, tmp_path):
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        _export_fleet(str(first))
-        _export_fleet(str(second))
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_matches_checked_in_golden(self, tmp_path):
-        exported = _export_fleet(str(tmp_path / "trace.json"))
-        with open(GOLDEN_PATH, encoding="utf-8") as handle:
-            golden = json.load(handle)
-        assert exported == golden
-
-    def test_golden_file_validates(self):
-        with open(GOLDEN_PATH, encoding="utf-8") as handle:
-            golden = json.load(handle)
-        assert validate_trace(golden) == []
-        assert golden["metadata"]["mode"] == "time-warp"
-        assert golden["metadata"]["requests"] > 0
-
-
 class TestCLISurface:
     def test_fleet_telemetry_flag(self, capsys):
         assert main(["fleet", "res", "--duration", "1", "--telemetry"]) == 0
@@ -371,24 +302,29 @@ class TestCLISurface:
         out = capsys.readouterr().out
         assert "# TYPE fleet_routed_total counter" in out
 
-    def test_trace_export_fleet_validates(self, tmp_path, capsys):
-        path = str(tmp_path / "fleet.json")
-        assert main(["trace", "export", "--fleet", "--duration", "1",
-                     "--output", path, "--validate"]) == 0
-        out = capsys.readouterr().out
-        assert "flight recorder" in out
-        assert "trace validated" in out
-        with open(path, encoding="utf-8") as handle:
-            assert validate_trace(json.load(handle)) == []
-
     def test_bench_slo_requires_fleet(self, capsys):
         assert main(["bench", "--quick", "--slo", "--no-report",
                      "--no-cache"]) == 2
         assert "--slo needs --fleet" in capsys.readouterr().out
 
-    def test_profile_fleet_reports_flight_stats(self, capsys):
+    def test_profile_fleet_reports_mode(self, capsys):
         assert main(["profile", "--fleet", "--scale", "2000",
                      "--telemetry-requests", "0"]) == 0
         out = capsys.readouterr().out
         assert "fleet replay" in out
-        assert "rounds" in out
+        assert "(static mode)" in out
+        assert "rounds" not in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--scale", "0"], "requests must be positive"),
+        (["--regions", "0"], "regions must be positive"),
+        (["nosuch"], "unknown model 'nosuch'"),
+    ])
+    def test_profile_fleet_bad_input_is_one_line_error(self, capsys, argv,
+                                                       message):
+        assert main(["profile", "--fleet", "--scale", "100",
+                     "--telemetry-requests", "0"] + argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert message in out
+        assert out.count("\n") == 1
