@@ -10,34 +10,63 @@ Usage::
 Runs the replay profile for every entry in the budget file — a cluster
 replay (``repro.runner.profile_cluster``) by default, a sharded fleet
 replay (``repro.runner.profile_fleet``) when the entry says ``"kind":
-"fleet"``, or the kernel-pack spin-up comparison
+"fleet"``, the kernel-pack spin-up comparison
 (``repro.runner.profile_packs``, gated on its pack-restore leg) when it
-says ``"kind": "packs"`` — taking the best of ``repeats`` runs, and
-fails if any measurement exceeds ``regression_factor`` times its
-``budget_s``.  An entry with an unrecognized ``kind`` is a hard error
+says ``"kind": "packs"``, or the 12-model x 6-scheme MI100 cold-serve
+grid with one ``breakdown()`` per serve (so the trace fold is gated
+too) when it says ``"kind": "cold-serve"`` — taking the best of
+``repeats`` runs, and fails if any measurement exceeds
+``regression_factor`` times its ``budget_s``.  An entry with an unrecognized ``kind`` is a hard error
 (exit 2) before anything is measured, so a typo can't silently fall
 back to the cluster profile.  Budgets are deliberately loose (~4x a
 warm local run), so the gate only trips on a genuine hot-path
 regression — not on a noisy shared runner.  Used by the CI perf-smoke
 job; run it locally after touching ``repro/sim/trace.py``,
-``repro/serving/cluster.py``, ``repro/fleet/parallel.py`` or
-``repro/packs/store.py``.
+``repro/serving/cluster.py``, ``repro/fleet/parallel.py``,
+``repro/packs/store.py`` or the cold-serve path.
 """
 
 import json
 import os
 import sys
+from time import perf_counter
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.runner import (profile_cluster, profile_fleet,  # noqa: E402
                           profile_packs)
 
-KNOWN_KINDS = ("cluster", "fleet", "packs")
+KNOWN_KINDS = ("cluster", "fleet", "packs", "cold-serve")
+
+
+def _cold_serve_grid():
+    """Cold-serve every model under every scheme (MI100, batch 1),
+    querying the phase breakdown of each trace; graphs and programs are
+    built by an untimed first pass."""
+    from repro.core.schemes import Scheme
+    from repro.models import list_models
+    from repro.serving.server import InferenceServer
+    from repro.sim.trace import Phase
+
+    server = InferenceServer("MI100")
+    cells = [(model, scheme) for model in list_models() for scheme in Scheme]
+    for model, scheme in cells:
+        server.serve_cold(model, scheme)
+    records = 0
+    start = perf_counter()
+    for model, scheme in cells:
+        trace = server.serve_cold(model, scheme).trace
+        trace.breakdown(list(Phase))
+        records += trace.record_count
+    return SimpleNamespace(wall_s=perf_counter() - start,
+                           requests=len(cells), records=records)
 
 
 def _measure(entry, rate_hz):
     kind = entry.get("kind", "cluster")
+    if kind == "cold-serve":
+        return _cold_serve_grid()
     if kind == "fleet":
         return profile_fleet(
             requests=entry["requests"],
@@ -72,6 +101,8 @@ def _detail(entry, profile):
     if kind == "packs":
         return (f"restores={profile.pack_restores}  "
                 f"speedup={profile.modeled_speedup_vs_cold:.2f}x-cold")
+    if kind == "cold-serve":
+        return f"records={profile.records}"
     return f"retained={profile.peak_retained_records}"
 
 

@@ -609,18 +609,13 @@ def _cmd_profile(args, out) -> int:
 
 def _cmd_profile_fleet(args, out) -> int:
     from repro.runner import profile_fleet
-    try:
-        fleet = profile_fleet(
-            device=args.device, model=args.model,
-            scheme=_SCHEMES[args.scheme], requests=args.scale,
-            rate_hz=args.rate, regions=args.regions,
-            instances=args.instances, keep_alive_s=args.keep_alive,
-            routing=args.routing, seed=args.seed, jobs=args.jobs,
-            compare_serial=args.compare_serial)
-    except (ValueError, KeyError) as exc:
-        # args[0]: a KeyError's str() would re-quote the message.
-        out(f"error: {exc.args[0] if exc.args else exc}")
-        return 2
+    fleet = profile_fleet(
+        device=args.device, model=args.model,
+        scheme=_SCHEMES[args.scheme], requests=args.scale,
+        rate_hz=args.rate, regions=args.regions,
+        instances=args.instances, keep_alive_s=args.keep_alive,
+        routing=args.routing, seed=args.seed, jobs=args.jobs,
+        compare_serial=args.compare_serial)
     out(f"fleet replay: {fleet.requests} requests of {args.model!r} "
         f"under {_SCHEMES[args.scheme].label} across {fleet.regions} "
         f"region(s), {args.routing} routing, {fleet.jobs} job(s) "
@@ -846,14 +841,10 @@ def _cmd_fleet(args, out) -> int:
     trace = merge_traces([(name, tenant_trace(args.seed + i))
                           for i, name in enumerate(names)])
 
-    try:
-        autoscale = (None if args.autoscale == "none" else AutoscalePolicy(
-            kind=args.autoscale, min_instances=args.min_instances,
-            idle_timeout_s=args.idle_timeout,
-            checkpoint_restore=args.checkpoint_restore))
-    except ValueError as exc:
-        out(f"error: {exc}")
-        return 2
+    autoscale = (None if args.autoscale == "none" else AutoscalePolicy(
+        kind=args.autoscale, min_instances=args.min_instances,
+        idle_timeout_s=args.idle_timeout,
+        checkpoint_restore=args.checkpoint_restore))
     regions = tuple(
         RegionConfig(name=f"r{i}", device=device, scheme=scheme,
                      max_instances=args.instances,
@@ -871,18 +862,13 @@ def _cmd_fleet(args, out) -> int:
         metrics = MetricsRegistry()
         if args.telemetry:
             spans = SpanRecorder()
-            try:
-                slo = SLOPolicy(
-                    availability_target=args.slo_availability,
-                    p99_target_s=(args.slo_p99_ms / 1e3
-                                  if args.slo_p99_ms is not None
-                                  else None),
-                    cold_rate_target=args.slo_cold_rate,
-                    window_s=args.slo_window,
-                    burn_threshold=args.slo_burn)
-            except ValueError as exc:
-                out(f"error: {exc}")
-                return 2
+            slo = SLOPolicy(
+                availability_target=args.slo_availability,
+                p99_target_s=(args.slo_p99_ms / 1e3
+                              if args.slo_p99_ms is not None else None),
+                cold_rate_target=args.slo_cold_rate,
+                window_s=args.slo_window,
+                burn_threshold=args.slo_burn)
     report = None
     if args.jobs > 1 or args.verify_serial:
         from repro.fleet import equivalence_problems, run_fleet_sharded
@@ -1126,38 +1112,39 @@ def _cmd_validate(args, out) -> int:
     return 1 if failures else 0
 
 
+_COMMANDS = {
+    "models": lambda args, out: _cmd_models(out),
+    "serve": _cmd_serve,
+    "experiment": _cmd_experiment,
+    "bench": _cmd_bench,
+    "session": _cmd_session,
+    "cluster": _cmd_cluster,
+    "fleet": _cmd_fleet,
+    "validate": _cmd_validate,
+    "chaos": _cmd_chaos,
+    "profile": _cmd_profile,
+    "trace": _cmd_trace,
+    "metrics": _cmd_metrics,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A ``ValueError``/``KeyError`` from any subcommand (an unknown model,
+    an out-of-range knob) prints one ``error: ...`` line and exits 2.
+    """
     args = build_parser().parse_args(argv)
 
     def out(text: str = "") -> None:
         print(text)
 
-    if args.command == "models":
-        return _cmd_models(out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "experiment":
-        return _cmd_experiment(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "session":
-        return _cmd_session(args, out)
-    if args.command == "cluster":
-        return _cmd_cluster(args, out)
-    if args.command == "fleet":
-        return _cmd_fleet(args, out)
-    if args.command == "validate":
-        return _cmd_validate(args, out)
-    if args.command == "chaos":
-        return _cmd_chaos(args, out)
-    if args.command == "profile":
-        return _cmd_profile(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "metrics":
-        return _cmd_metrics(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args, out)
+    except (ValueError, KeyError) as exc:
+        # args[0]: a KeyError's str() would re-quote the message.
+        out(f"error: {exc.args[0] if exc.args else exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ class Graph:
         self.outputs: List[str] = []
         self.initializers: Set[str] = set()
         self._producer: Dict[str, Node] = {}
+        self._by_name: Dict[str, Node] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -53,7 +54,7 @@ class Graph:
         if missing:
             raise GraphError(
                 f"node {node.name!r} references undefined tensors {missing}")
-        if any(n.name == node.name for n in self.nodes):
+        if node.name in self._by_name:
             raise GraphError(f"duplicate node name {node.name!r}")
         input_descs = [self.tensors[t] for t in node.inputs]
         output_descs = infer_shapes(node, input_descs)
@@ -65,6 +66,7 @@ class Graph:
             self._declare_tensor(tensor_name, desc)
             self._producer[tensor_name] = node
         self.nodes.append(node)
+        self._by_name[node.name] = node
         return node
 
     def mark_output(self, name: str) -> None:
@@ -94,10 +96,11 @@ class Graph:
 
     def node(self, name: str) -> Node:
         """Look up a node by name."""
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(f"no node named {name!r} in graph {self.name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(
+                f"no node named {name!r} in graph {self.name!r}") from None
 
     def desc(self, tensor: str) -> TensorDesc:
         """The descriptor of ``tensor``."""

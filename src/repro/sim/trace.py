@@ -8,23 +8,22 @@ over such traces:
 - Fig. 1(b) / Fig. 7: per-phase time breakdowns,
 - Fig. 6(b): GPU utilization = merged EXEC interval length / total time.
 
-Aggregation is *streaming*: the recorder folds every record into
-per-(phase, actor) accumulators — a running duration sum plus an online
-interval union — as it arrives, so ``total`` / ``busy_time`` /
-``breakdown`` / ``exclusive_fractions`` / ``utilization`` never re-scan
-the record history.  That turns metric queries from O(records) into
-O(merged segments), which is what lets million-request serving
-simulations stay interactive (see docs/PERFORMANCE.md).
+Aggregation is *lazy and batched*: ``record``/``ingest`` only retain a
+record; the next metric query folds every pending record at once,
+through one kernel (:func:`_fold_spans`), into per-(phase, actor)
+accumulators — a left-to-right duration sum plus the canonical interval
+union.  A run that never asks for a breakdown never pays for one, and a
+repeat query costs O(merged segments) (see docs/PERFORMANCE.md).
 
 Two retention policies control what else is kept:
 
-- ``"full"`` (default) — every record is retained, as before; the
-  accumulators are a pure acceleration structure and all metrics are
+- ``"full"`` (default) — every record is retained; the records not yet
+  folded are the tail of ``records``, and all metrics are
   byte-identical to a full scan (pinned by the property tests).
 - ``"aggregate"`` — only the accumulators plus a bounded ring of the
-  most recent records are retained, so a long-horizon run holds O(1)
-  memory in the number of records while reporting the exact same
-  aggregate metrics.
+  most recent records are retained, and the pending list folds when it
+  reaches ``ring_size``, so a long-horizon run holds O(1) memory in the
+  number of records while reporting the exact same aggregate metrics.
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ def _insert_interval(segs: List[Tuple[float, float]],
                      start: float, end: float) -> None:
     """Insert ``(start, end)`` into the sorted disjoint union ``segs``.
 
-    Out-of-order arrivals land here (the appending fast path lives in
-    :meth:`_Accumulator.add`); the result is the same canonical form
+    Out-of-order spans land here (the appending fast path lives in
+    :func:`_fold_spans`); the result is the same canonical form
     :func:`merge_intervals` produces over the whole history.
     """
     i = bisect_left(segs, (start, end))
@@ -155,14 +154,12 @@ def _insert_interval(segs: List[Tuple[float, float]],
 
 
 class _Accumulator:
-    """Streaming aggregate for one (phase, actor) filter key.
+    """Aggregate for one (phase, actor) filter key.
 
-    ``total`` accumulates durations in record-arrival order — the exact
-    float sequence a full scan would sum — and ``segs`` maintains the
-    canonical merged interval union online.  Records for a single actor
-    mostly arrive in non-decreasing start order, so the common case is a
-    O(1) append/extend of the last segment; stragglers fall back to a
-    bisect insertion.
+    ``total`` is the left-to-right sum of durations in record-arrival
+    order — the exact float sequence a full scan would add — and
+    ``segs`` is the canonical merged interval union.  Both are updated
+    only by :func:`_fold_spans`.
     """
 
     __slots__ = ("total", "count", "segs", "_busy", "_dirty")
@@ -173,20 +170,6 @@ class _Accumulator:
         self.segs: List[Tuple[float, float]] = []
         self._busy = 0.0
         self._dirty = False
-
-    def add(self, start: float, end: float, duration: float) -> None:
-        self.total += duration
-        self.count += 1
-        self._dirty = True
-        segs = self.segs
-        if not segs or start > segs[-1][1]:
-            segs.append((start, end))
-        elif start >= segs[-1][0]:
-            last = segs[-1]
-            if end > last[1]:
-                segs[-1] = (last[0], end)
-        else:
-            _insert_interval(segs, start, end)
 
     def busy(self) -> float:
         """Union length — identical to summing the merged full scan.
@@ -202,7 +185,71 @@ class _Accumulator:
         return self._busy
 
 
+def _fold_spans(buckets: Iterable[_Accumulator], starts: List[float],
+                ends: List[float]) -> None:
+    """The one fold kernel: fold the arrival-ordered spans
+    ``zip(starts, ends)`` into every bucket.
+
+    Totals add durations left to right with ``accumulate`` (``sum()``
+    compensates on Python 3.12+), the float sequence per-record folding
+    adds.  The spans' canonical union is a function of the point set
+    alone and only selects input endpoints, so merging it into each
+    bucket yields the segments per-record insertion would.
+    """
+    durations = list(map(operator.sub, ends, starts))
+    if any(map(operator.gt, starts, islice(starts, 1, None))):
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        starts = list(map(starts.__getitem__, order))
+        ends = list(map(ends.__getitem__, order))
+    # With starts sorted, a new canonical segment opens exactly where a
+    # start clears the running maximum of all earlier ends, and that
+    # running maximum at the segment's last index is the segment's end.
+    # Everything runs inside itertools/operator.
+    if any(map(operator.gt, ends, islice(ends, 1, None))):
+        run_max = list(accumulate(ends, max))
+    else:
+        run_max = ends
+    opens = list(map(operator.gt, islice(starts, 1, None), run_max))
+    union = list(zip(compress(starts, chain((True,), opens)),
+                     compress(run_max, chain(opens, (True,)))))
+    batch = len(durations)
+    for bucket in buckets:
+        bucket.total = deque(
+            accumulate(durations, initial=bucket.total), maxlen=1)[0]
+        bucket.count += batch
+        bucket._dirty = True
+        segs = bucket.segs
+        # Merge only the union prefix that interacts with existing
+        # history; the remainder — all of it, in the common case of
+        # spans that start after everything folded so far — appends in
+        # one C-level extend.
+        overlap = 0
+        if segs:
+            last_start, last_end = segs[-1]
+            for start, end in union:
+                if start > last_end:
+                    break
+                if start >= last_start:
+                    if end > last_end:
+                        segs[-1] = (last_start, end)
+                        last_end = end
+                else:
+                    _insert_interval(segs, start, end)
+                    last_start, last_end = segs[-1]
+                overlap += 1
+        segs.extend(islice(union, overlap, None))
+
+
 _Key = Tuple[Optional[Phase], Optional[str]]
+_START = operator.attrgetter("start")
+_END = operator.attrgetter("end")
+_PAIR = operator.attrgetter("phase._value_", "actor")
+
+
+def _bucket_keys(phase: Phase, actor: str) -> Tuple[_Key, ...]:
+    """The four filter keys one record counts toward, in the order
+    their buckets are created."""
+    return ((phase, actor), (phase, None), (None, actor), (None, None))
 
 
 class TraceRecorder:
@@ -210,11 +257,12 @@ class TraceRecorder:
 
     ``retention="full"`` (default) keeps the entire record history in
     ``records`` — a plain list, safe to read (and, for legacy callers,
-    append to: lazily-folded stragglers are picked up before the next
-    metric query).  ``retention="aggregate"`` keeps only the streaming
-    accumulators plus a bounded ring (``ring_size``) of the most recent
-    records; aggregate metrics are byte-identical between the two
-    policies, but ``filtered()`` then only sees the ring.
+    append to or truncate: the next recorder call picks the change up).
+    ``retention="aggregate"`` keeps only the aggregates plus a bounded
+    ring (``ring_size``) of the most recent records; aggregate metrics
+    are byte-identical between the two policies, but ``filtered()``
+    then only sees the ring.  ``records_folded`` counts the records the
+    fold kernel has processed since construction.
     """
 
     def __init__(self, records: Optional[Iterable[TraceRecord]] = None,
@@ -232,10 +280,11 @@ class TraceRecorder:
         else:
             self.records = deque(maxlen=ring_size)
         self._acc: Dict[_Key, _Accumulator] = {}
-        self._count = 0          # records ever ingested
-        self._synced = 0         # records folded from the full-mode list
-        self._span_start = 0.0
-        self._span_end = 0.0
+        # Records folded into ``_acc``; the pending ones are
+        # ``records[_count:]`` (full) or ``_pending`` (aggregate).
+        self._count = 0
+        self._pending: List[TraceRecord] = []
+        self.records_folded = 0
         # Optional telemetry hook (repro.obs): called with every record
         # that flows through ingest()/ingest_stream().  None (default)
         # keeps the hot path to a single falsy check; records appended
@@ -254,17 +303,23 @@ class TraceRecorder:
         if end < start:
             raise ValueError(f"record ends before it starts: {start} > {end}")
         rec = TraceRecord(start, end, actor, phase, label,
-                          tuple(sorted(meta.items())))
+                          tuple(sorted(meta.items())) if meta else ())
         self.ingest(rec)
         return rec
 
     def ingest(self, rec: TraceRecord) -> None:
-        """Fold an already-built record into the aggregates and retain it
-        (fully, or in the ring under ``retention="aggregate"``)."""
-        self._sync()
-        self._fold(rec)
-        self.records.append(rec)
-        self._synced = self._count
+        """Retain an already-built record (fully, or in the ring under
+        ``retention="aggregate"``); it is folded at the next query."""
+        if self.retention == "full":
+            if len(self.records) < self._count:
+                self._reset_aggregates()   # truncated by a legacy caller
+            self.records.append(rec)
+        else:
+            self.records.append(rec)
+            pending = self._pending
+            pending.append(rec)
+            if len(pending) >= self.ring_size:
+                self._flush()
         if self.observer is not None:
             self.observer(rec)
 
@@ -273,13 +328,13 @@ class TraceRecorder:
         """Fold a homogeneous stream of ``(start, end)`` intervals.
 
         Byte-identical to calling :meth:`record` once per pair with the
-        same actor/phase/label (and no meta), but the accumulator keys
-        resolve once for the whole stream and, under aggregate
+        same actor/phase/label (and no meta), but the stream folds
+        eagerly as one batch into its four buckets and, under aggregate
         retention, only intervals that can survive the ring are
         materialized as :class:`TraceRecord` objects — which is what
         makes million-record steady-state batches cheap.
         """
-        self._sync()
+        self._flush()
         span_list = list(spans)
         if not span_list:
             return
@@ -290,67 +345,15 @@ class TraceRecorder:
                 if end < start:
                     raise ValueError(
                         f"record ends before it starts: {start} > {end}")
-        # Durations once, at C speed; each bucket still folds them
-        # left-to-right so its running sum is the exact float sequence a
-        # per-record ingest would produce.
-        durations = list(map(operator.sub, ends, starts))
-        # Merge the batch into its canonical interval union ONCE, then
-        # fold the (typically few) merged segments into each bucket.
-        # Canonical form — sorted, disjoint, touching intervals merged,
-        # isolated zero-length points kept — is a function of the input
-        # point set alone, and every endpoint is an input float (the
-        # maintenance only selects endpoints, never computes new ones),
-        # so union-then-fold yields byte-identical segs to folding the
-        # raw spans one at a time.
-        if any(map(operator.gt, starts, islice(starts, 1, None))):
-            union = merge_intervals(span_list)
-        else:
-            # Sorted starts (the steady-state shape): a new canonical
-            # segment opens exactly where a start clears the running
-            # maximum of all earlier ends, and that running maximum at
-            # the segment's last index is the segment's end.  Everything
-            # runs inside itertools/operator.
-            if any(map(operator.gt, ends, islice(ends, 1, None))):
-                run_max = list(accumulate(ends, max))
-            else:
-                run_max = ends
-            opens = list(map(operator.gt, islice(starts, 1, None), run_max))
-            union = list(zip(compress(starts, chain((True,), opens)),
-                             compress(run_max, chain(opens, (True,)))))
-        acc = self._acc
-        batch = len(span_list)
-        for key in ((phase, actor), (phase, None),
-                    (None, actor), (None, None)):
-            bucket = acc.get(key)
-            if bucket is None:
-                bucket = acc[key] = _Accumulator()
-            bucket.total = deque(
-                accumulate(durations, initial=bucket.total), maxlen=1)[0]
-            bucket.count += batch
-            bucket._dirty = True
-            segs = bucket.segs
-            # Merge only the union prefix that interacts with existing
-            # history; the remainder — all of it, in the common case of
-            # a batch that starts after everything recorded so far —
-            # appends in one C-level extend.
-            overlap = 0
-            if segs:
-                last_start, last_end = segs[-1]
-                for start, end in union:
-                    if start > last_end:
-                        break
-                    if start >= last_start:
-                        if end > last_end:
-                            segs[-1] = (last_start, end)
-                            last_end = end
-                    else:
-                        _insert_interval(segs, start, end)
-                        last_start, last_end = segs[-1]
-                    overlap += 1
-            if overlap:
-                segs.extend(islice(union, overlap, None))
-            else:
-                segs.extend(union)
+        _fold_spans([self._acc.setdefault(key, _Accumulator())
+                     for key in _bucket_keys(phase, actor)], starts, ends)
+        self._count += len(span_list)
+        self.records_folded += len(span_list)
+        records = self.records
+        tail = (span_list if self.retention == "full"
+                else span_list[-self.ring_size:])
+        for start, end in tail:
+            records.append(TraceRecord(start, end, actor, phase, label))
         if self.observer is not None:
             # Fast-forwarded / batched segments still surface as
             # individual spans downstream: synthesize the records a
@@ -358,74 +361,69 @@ class TraceRecorder:
             observer = self.observer
             for start, end in span_list:
                 observer(TraceRecord(start, end, actor, phase, label))
-        lo = min(starts)
-        hi = max(ends)
-        if self._count == 0:
-            self._span_start = lo
-            self._span_end = hi
-        else:
-            if lo < self._span_start:
-                self._span_start = lo
-            if hi > self._span_end:
-                self._span_end = hi
-        self._count += len(span_list)
-        records = self.records
-        tail = (span_list if self.retention == "full"
-                else span_list[-self.ring_size:])
-        for start, end in tail:
-            records.append(TraceRecord(start, end, actor, phase, label))
-        self._synced = self._count
 
-    def _fold(self, rec: TraceRecord) -> None:
-        start, end = rec.start, rec.end
-        duration = end - start
+    def _fold_records(self, batch: Sequence[TraceRecord]) -> None:
+        """Fold arrival-ordered records through :func:`_fold_spans`.
+
+        Each new (phase, actor) pair, in first-appearance order, adds
+        its missing buckets in :func:`_bucket_keys` order — the order
+        per-record folding creates them, so ``state_dict()`` does not
+        depend on when queries run.
+        """
+        starts = list(map(_START, batch))
+        ends = list(map(_END, batch))
+        # Group record indices by (phase, actor) in C: the keys carry
+        # the phase's value because hashing an Enum member runs Python.
+        pairs = list(map(_PAIR, batch))
+        groups: Dict[Tuple[str, str], List[int]] = {
+            pair: [] for pair in dict.fromkeys(pairs)}
+        deque(map(list.append, map(groups.__getitem__, pairs),
+                  range(len(pairs))), maxlen=0)
         acc = self._acc
-        for key in ((rec.phase, rec.actor), (rec.phase, None),
-                    (None, rec.actor), (None, None)):
-            bucket = acc.get(key)
-            if bucket is None:
-                bucket = acc[key] = _Accumulator()
-            bucket.add(start, end, duration)
-        if self._count == 0:
-            self._span_start = start
-            self._span_end = end
-        else:
-            if start < self._span_start:
-                self._span_start = start
-            if end > self._span_end:
-                self._span_end = end
-        self._count += 1
+        parts: Dict[_Key, List[List[int]]] = {}
+        for indices in groups.values():
+            first = batch[indices[0]]
+            for key in _bucket_keys(first.phase, first.actor):
+                acc.setdefault(key, _Accumulator())
+                parts.setdefault(key, []).append(indices)
+        for key, lists in parts.items():
+            if key == (None, None):
+                _fold_spans((acc[key],), starts, ends)
+                continue
+            indices = (lists[0] if len(lists) == 1
+                       else sorted(chain.from_iterable(lists)))
+            _fold_spans((acc[key],), list(map(starts.__getitem__, indices)),
+                        list(map(ends.__getitem__, indices)))
+        self._count += len(batch)
+        self.records_folded += len(batch)
 
-    def _sync(self) -> None:
-        """Fold records appended directly to ``records`` (legacy path,
-        full retention only) that the accumulators have not seen yet."""
-        if self.retention != "full":
-            return
-        records = self.records
-        if len(records) == self._synced:
-            return
-        if len(records) < self._synced:
-            # The list shrank under us (external truncation): rebuild.
-            retained = list(records)
-            self._acc.clear()
-            self._count = 0
-            self._synced = 0
-            records.clear()
-            for rec in retained:
-                self.ingest(rec)
-            return
-        for rec in list(records[self._synced:]):
-            self._fold(rec)
-        self._synced = len(records)
+    def _flush(self) -> None:
+        """Fold every pending record into the aggregates."""
+        if self.retention == "full":
+            records = self.records
+            if len(records) < self._count:
+                self._reset_aggregates()   # truncated by a legacy caller
+            if len(records) > self._count:
+                self._fold_records(records[self._count:])
+        elif self._pending:
+            pending = self._pending
+            self._pending = []
+            self._fold_records(pending)
+
+    def _reset_aggregates(self) -> None:
+        self._acc.clear()
+        self._count = 0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def record_count(self) -> int:
-        """Total records ever ingested (survives ring eviction)."""
-        self._sync()
-        return self._count
+        """Total records ever ingested (survives ring eviction); O(1),
+        never folds."""
+        if self.retention == "full":
+            return len(self.records)
+        return self._count + len(self._pending)
 
     @property
     def retained_records(self) -> int:
@@ -457,33 +455,35 @@ class TraceRecorder:
         The returned list is live accumulator state — callers must not
         mutate it.
         """
-        self._sync()
+        self._flush()
         acc = self._acc.get((phase, actor))
         return acc.segs if acc is not None else []
 
     # ------------------------------------------------------------------
-    # Aggregate metrics (all O(merged segments), never O(records))
+    # Aggregate metrics (O(merged segments) once pending records fold)
     # ------------------------------------------------------------------
     def total(self, phase: Optional[Phase] = None,
               actor: Optional[str] = None) -> float:
         """Summed durations of matching records (may double-count overlap)."""
-        self._sync()
+        self._flush()
         acc = self._acc.get((phase, actor))
         return acc.total if acc is not None else 0.0
 
     def busy_time(self, phase: Optional[Phase] = None,
                   actor: Optional[str] = None) -> float:
         """Length of the merged union of matching intervals (no overlap)."""
-        self._sync()
+        self._flush()
         acc = self._acc.get((phase, actor))
         return acc.busy() if acc is not None else 0.0
 
     def span(self) -> Tuple[float, float]:
-        """``(earliest start, latest end)`` over all records."""
-        self._sync()
-        if not self._count:
+        """``(earliest start, latest end)`` over all records: the ends of
+        the whole trace's canonical interval union."""
+        self._flush()
+        acc = self._acc.get((None, None))
+        if acc is None:
             return (0.0, 0.0)
-        return (self._span_start, self._span_end)
+        return (acc.segs[0][0], acc.segs[-1][1])
 
     def breakdown(self, phases: Sequence[Phase],
                   total_time: Optional[float] = None) -> Dict[Phase, float]:
@@ -542,16 +542,16 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot of the recorder: retained records plus the
-        streaming aggregates, so :meth:`from_state` reconstructs an
+        folded aggregates, so :meth:`from_state` reconstructs an
         aggregate-mode recorder exactly even though most of its record
         history is gone.  Floats survive a JSON round-trip bit-for-bit.
         """
-        self._sync()
+        self._flush()
         return {
             "retention": self.retention,
             "ring_size": self.ring_size,
             "count": self._count,
-            "span": [self._span_start, self._span_end],
+            "span": list(self.span()),
             "records": [[r.start, r.end, r.actor, r.phase.value, r.label,
                          [[k, v] for k, v in r.meta]] for r in self.records],
             "acc": [[phase.value if phase is not None else None, actor,
@@ -577,18 +577,13 @@ class TraceRecorder:
             key = (Phase(phase) if phase is not None else None, actor)
             recorder._acc[key] = acc
         recorder._count = state["count"]
-        recorder._synced = len(recorder.records)
-        recorder._span_start, recorder._span_end = state["span"]
         return recorder
 
     def clear(self) -> None:
         """Drop all records and aggregates."""
         self.records.clear()
-        self._acc.clear()
-        self._count = 0
-        self._synced = 0
-        self._span_start = 0.0
-        self._span_end = 0.0
+        self._pending = []
+        self._reset_aggregates()
 
     # ------------------------------------------------------------------
     # Dunder conveniences

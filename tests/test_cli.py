@@ -79,6 +79,17 @@ class TestCommands:
         assert "cold starts" in out
         assert "p99" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "bogus"],
+        ["session", "bogus", "--requests", "1"],
+        ["cluster", "bogus", "--duration", "1"],
+    ], ids=["serve", "session", "cluster"])
+    def test_unknown_model_is_one_line_error(self, capsys, argv):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: unknown model 'bogus'; known models:")
+        assert out.count("\n") == 1
+
 
 class TestBenchCommand:
     def test_parser_defaults(self):

@@ -35,7 +35,8 @@ def _write_budget(tmp_path, entries, **top):
 
 class TestKindDispatch:
     def test_known_kinds_cover_every_profile(self, budget_script):
-        assert budget_script.KNOWN_KINDS == ("cluster", "fleet", "packs")
+        assert budget_script.KNOWN_KINDS == ("cluster", "fleet", "packs",
+                                             "cold-serve")
 
     def test_unknown_kind_exits_2_without_measuring(self, budget_script,
                                                     tmp_path, capsys,
@@ -93,6 +94,16 @@ class TestEndToEnd:
         assert budget_script.main([path]) == 0
         out = capsys.readouterr().out
         assert "restores=" in out
+
+    def test_cold_serve_budget_passes(self, budget_script, tmp_path,
+                                      capsys):
+        path = _write_budget(
+            tmp_path,
+            [{"name": "grid", "kind": "cold-serve", "budget_s": 60.0}],
+            repeats=1)
+        assert budget_script.main([path]) == 0
+        out = capsys.readouterr().out
+        assert "requests=72" in out and "records=" in out
 
     def test_regression_exits_1(self, budget_script, tmp_path, capsys):
         path = _write_budget(

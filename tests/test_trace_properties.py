@@ -8,10 +8,14 @@ fault layer added two phases (FAULT, RETRY) that flow through the same
 algebra, so the strategies here draw from every phase.
 """
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import (
+    RETENTION_POLICIES,
     Phase,
+    TraceRecord,
     TraceRecorder,
     merge_intervals,
     subtract_intervals,
@@ -208,3 +212,129 @@ def test_fault_phase_competes_like_any_other(records):
         [Phase.EXEC, Phase.LOAD], total_time=1.0)
     assert with_faults[Phase.EXEC] <= without[Phase.EXEC] + 1e-9
     assert with_faults[Phase.LOAD] <= without[Phase.LOAD] + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Lazy batched fold: any interleaving of ingestion, legacy list edits,
+# queries, clear and state round-trips equals a brute-force rescan
+# ----------------------------------------------------------------------
+
+_span = st.tuples(st.floats(0, 10, allow_nan=False),
+                  st.floats(0, 10, allow_nan=False)).map(
+    lambda p: (min(p), max(p)))
+_who = st.tuples(st.sampled_from(_ALL_PHASES), st.sampled_from(_ACTORS))
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), _span, _who, st.booleans()),
+    st.tuples(st.just("ingest"), _span, _who),
+    st.tuples(st.just("stream"), st.lists(_span, max_size=6), _who),
+    st.tuples(st.just("append"), _span, _who),
+    st.tuples(st.just("truncate"), st.integers(0, 40)),
+    st.tuples(st.just("query")),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("state")),
+), max_size=40)
+
+
+def _keys(phase, actor):
+    return ((phase, actor), (phase, None), (None, actor), (None, None))
+
+
+def _check_against_history(recorder, history):
+    """Every aggregate equals a brute-force merge plus a left-to-right
+    sum over ``history``; buckets appear in first-appearance order."""
+    order = list(dict.fromkeys(
+        key for rec in history for key in _keys(rec.phase, rec.actor)))
+    state = recorder.state_dict()
+    assert [(None if p is None else Phase(p), a)
+            for p, a, *_ in state["acc"]] == order
+    for phase, actor, total, count, segs in state["acc"]:
+        phase = None if phase is None else Phase(phase)
+        matching = [r for r in history
+                    if phase in (None, r.phase) and actor in (None, r.actor)]
+        expected_total = 0.0
+        for rec in matching:
+            expected_total += rec.end - rec.start
+        merged = merge_intervals((r.start, r.end) for r in matching)
+        assert total == expected_total
+        assert count == len(matching)
+        assert [tuple(seg) for seg in segs] == merged
+        assert recorder.total(phase, actor) == expected_total
+        assert recorder.busy_time(phase, actor) == _measure(merged)
+    assert recorder.record_count == len(history)
+    if history:
+        span = (min(r.start for r in history), max(r.end for r in history))
+    else:
+        span = (0.0, 0.0)
+    assert recorder.span() == span
+    wall = span[1] - span[0]
+    claimed, exclusive = [], {}
+    for phase in _ALL_PHASES:
+        mine = merge_intervals(
+            (r.start, r.end) for r in history if r.phase is phase)
+        exclusive[phase] = (_measure(subtract_intervals(mine, claimed)) / wall
+                            if wall > 0 else 0.0)
+        claimed = merge_intervals(claimed + mine)
+    assert recorder.exclusive_fractions(_ALL_PHASES) == exclusive
+    assert recorder.breakdown(_ALL_PHASES) == {
+        p: (recorder.busy_time(p) / wall if wall > 0 else 0.0)
+        for p in _ALL_PHASES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops, st.sampled_from(RETENTION_POLICIES), st.integers(1, 6))
+def test_lazy_fold_matches_rescan_under_any_interleaving(ops, retention,
+                                                         ring_size):
+    recorder = TraceRecorder(retention=retention, ring_size=ring_size)
+    full = retention == "full"
+    history = []          # every record the aggregates must cover
+    truncated = False     # a legacy truncation the recorder has not seen
+    unfolded = 0          # records counted but never folded (clear/state)
+    for op in ops:
+        kind = op[0]
+        if kind in ("append", "truncate") and not full:
+            continue      # legacy list edits exist under full retention
+        if kind == "append" and truncated:
+            kind = "ingest"   # the next recorder call sees a truncation
+        if kind == "record":
+            (start, end), (phase, actor), with_meta = op[1:]
+            meta = {"layer": 1} if with_meta else {}
+            history.append(recorder.record(start, end, actor, phase, "x",
+                                           **meta))
+        elif kind in ("ingest", "append"):
+            (start, end), (phase, actor) = op[1:]
+            rec = TraceRecord(start, end, actor, phase, "x")
+            if kind == "ingest":
+                recorder.ingest(rec)
+            else:
+                recorder.records.append(rec)
+            history.append(rec)
+        elif kind == "stream":
+            spans, (phase, actor) = op[1:]
+            recorder.ingest_stream(spans, actor, phase, "x")
+            history.extend(TraceRecord(s, e, actor, phase, "x")
+                           for s, e in spans)
+        elif kind == "truncate":
+            keep = op[1] % (len(history) + 1)
+            del recorder.records[keep:]
+            del history[keep:]
+            truncated = True
+            continue
+        elif kind == "clear":
+            recorder.clear()
+            history = []
+        elif kind == "state":
+            state = json.loads(json.dumps(recorder.state_dict()))
+            recorder = TraceRecorder.from_state(state)
+        else:
+            _check_against_history(recorder, history)
+        truncated = False
+        if kind in ("clear", "state"):
+            unfolded = recorder.records_folded - recorder.record_count
+        if not full:
+            assert recorder.retained_records <= ring_size
+            # The pending list never reaches the ring size.
+            pending = (recorder.record_count - recorder.records_folded
+                       + unfolded)
+            assert 0 <= pending < ring_size
+    _check_against_history(recorder, history)

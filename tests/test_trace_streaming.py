@@ -1,6 +1,6 @@
-"""Streaming trace aggregation: retention policies and byte-identity.
+"""Trace aggregation: retention policies, lazy folding, byte-identity.
 
-The streaming accumulators must be a pure acceleration structure: every
+The aggregates must be a pure acceleration structure: every
 aggregate metric under ``retention="aggregate"`` (bounded memory) equals
 the ``retention="full"`` value bit-for-bit, including on the real traces
 the golden-regression model × scheme grid produces.
@@ -145,6 +145,18 @@ def test_external_truncation_rebuilds_aggregates():
     assert recorder.span() == (0.0, 1.0)
 
 
+def test_truncation_then_ingest_refolds_before_the_next_query():
+    recorder = TraceRecorder()
+    recorder.record(0.0, 1.0, "gpu", Phase.EXEC)
+    recorder.record(5.0, 6.0, "gpu", Phase.EXEC)
+    recorder.total()
+    del recorder.records[1:]
+    # The list is back at the folded length before any query runs.
+    recorder.record(2.0, 3.0, "gpu", Phase.EXEC)
+    assert recorder.total(Phase.EXEC) == 2.0
+    assert recorder.span() == (0.0, 3.0)
+
+
 def test_out_of_order_records_merge_correctly():
     # The online union must match merge_intervals even when starts
     # arrive out of order (the bisect fallback path).
@@ -172,3 +184,33 @@ def test_state_dict_round_trips_through_json(retention):
     assert clone.retention == recorder.retention
     assert list(clone.records) == list(recorder.records)
     _assert_metrics_identical(clone, recorder)
+
+
+# ----------------------------------------------------------------------
+# Lazy batched fold: exact work counts
+# ----------------------------------------------------------------------
+
+def test_serve_folds_nothing_until_queried():
+    trace = _SERVER.serve_cold("res", Scheme.PASK).trace
+    assert trace.records_folded == 0
+    count = trace.record_count
+    assert count > 0
+    trace.breakdown(list(Phase))
+    assert trace.records_folded == count
+    # Repeat queries of every kind fold nothing more.
+    trace.breakdown(list(Phase))
+    trace.exclusive_fractions(list(Phase))
+    trace.utilization("gpu")
+    trace.state_dict()
+    assert trace.records_folded == count
+
+
+def test_aggregate_pending_list_is_bounded_by_the_ring():
+    recorder = TraceRecorder(retention="aggregate", ring_size=4)
+    for i in range(1, 11):
+        recorder.record(float(i), float(i) + 0.5, "gpu", Phase.EXEC)
+        # Every fourth record folds the whole pending list in one batch.
+        assert recorder.records_folded == i // 4 * 4
+    assert recorder.record_count == 10
+    assert recorder.total(Phase.EXEC) == 5.0
+    assert recorder.records_folded == 10
