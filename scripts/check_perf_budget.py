@@ -22,8 +22,9 @@ back to the cluster profile.  Budgets are deliberately loose (~4x a
 warm local run), so the gate only trips on a genuine hot-path
 regression — not on a noisy shared runner.  Used by the CI perf-smoke
 job; run it locally after touching ``repro/sim/trace.py``,
-``repro/serving/cluster.py``, ``repro/fleet/parallel.py``,
-``repro/packs/store.py`` or the cold-serve path.
+``repro/serving/pool.py``, ``repro/serving/cluster.py``,
+``repro/fleet/parallel.py``, ``repro/packs/store.py`` or the
+cold-serve path.
 """
 
 import json

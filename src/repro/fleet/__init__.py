@@ -1,7 +1,8 @@
 """Fleet layer: multi-region serving with routing and autoscaling.
 
-Composes :class:`~repro.serving.cluster.ClusterSimulator`-equivalent
-regions into one deterministic fleet replay.  See docs/FLEET.md.
+Composes regions, each wrapping the cluster's
+:class:`~repro.serving.pool.InstancePool`, into one deterministic fleet
+replay.  See docs/FLEET.md.
 """
 
 from repro.fleet.autoscale import AUTOSCALE_KINDS, AutoscalePolicy

@@ -69,21 +69,24 @@ class AutoscalePolicy:
         if self.kind not in AUTOSCALE_KINDS:
             raise ValueError(f"unknown autoscale kind {self.kind!r}; "
                              f"expected one of {AUTOSCALE_KINDS}")
+        if not isinstance(self.min_instances, int):
+            raise ValueError("min_instances must be an integer")
         if self.min_instances < 0:
             raise ValueError("min_instances must be non-negative")
-        if self.idle_timeout_s is not None and self.idle_timeout_s < 0:
+        if (self.idle_timeout_s is not None
+                and not self.idle_timeout_s >= 0):
             raise ValueError("idle_timeout_s must be non-negative")
         if self.kind == "scale-to-zero" and self.idle_timeout_s is None:
             raise ValueError("scale-to-zero needs an idle_timeout_s")
         for name in ("scale_up_wait_s", "scale_down_idle_s",
                      "prewarm_cooldown_s", "restore_overhead_s"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.prewarm_headroom <= 0:
+        if not self.prewarm_headroom > 0:
             raise ValueError("prewarm_headroom must be positive")
-        if self.restore_speedup < 1.0:
+        if not self.restore_speedup >= 1.0:
             raise ValueError("restore_speedup must be >= 1")
 
     @property
@@ -95,49 +98,43 @@ class AutoscalePolicy:
 
 
 class AutoscalerState:
-    """Per-region mutable autoscaler cursor.
+    """Per-region mutable autoscaler cursor over one instance pool.
 
-    Owns the breathing instance cap (reactive), the EWMA rate estimate
-    (predictive) and the prewarm/scale hysteresis clocks.  All inputs
-    are deterministic region-state queries, so a seeded fleet replay
+    Owns the EWMA rate estimate (predictive) and the prewarm/scale
+    hysteresis clocks, and updates the pool's spawn cap (reactive).
+    All inputs are deterministic pool queries, so a seeded fleet replay
     with any policy stays fully reproducible.
     """
 
-    def __init__(self, policy: AutoscalePolicy, max_instances: int) -> None:
+    def __init__(self, policy: AutoscalePolicy, pool) -> None:
         self.policy = policy
-        self.max_instances = max_instances
+        self.pool = pool
+        self.max_instances = pool.cap
         if policy.kind == "reactive":
-            self.cap = min(max_instances, max(policy.min_instances, 1))
-        else:
-            self.cap = max_instances
-        self._floor = min(max_instances, max(policy.min_instances, 1))
+            pool.cap = min(pool.cap, max(policy.min_instances, 1))
+        self._floor = min(self.max_instances, max(policy.min_instances, 1))
         self._rate: float = 0.0
         self._last_arrival: Optional[float] = None
         self._last_prewarm: Optional[float] = None
 
-    def keep_alive(self, default: float) -> float:
-        """Effective idle reclaim timeout for the region."""
-        if self.policy.idle_timeout_s is not None:
-            return self.policy.idle_timeout_s
-        return default
-
     # ------------------------------------------------------------------
     # Hooks driven by the fleet loop
     # ------------------------------------------------------------------
-    def idle_tick(self, region, now: float) -> None:
+    def idle_tick(self, now: float) -> None:
         """Periodic (per fleet arrival) idle check: reactive scale-down."""
-        if self.policy.kind != "reactive" or self.cap <= self._floor:
+        pool = self.pool
+        if self.policy.kind != "reactive" or pool.cap <= self._floor:
             return
         last = self._last_arrival
         if last is not None and now - last > self.policy.scale_down_idle_s:
-            self.cap -= 1
-            region.stats.scale_downs += 1
+            pool.cap -= 1
+            pool.stats.scale_downs += 1
             # One step per quiet period: restart the idle clock so a
             # long silence drains capacity gradually, not instantly.
             self._last_arrival = now
 
-    def observe_arrival(self, region, now: float) -> int:
-        """An arrival was routed to ``region`` at ``now``.
+    def observe_arrival(self, now: float) -> int:
+        """An arrival was routed to the pool's region at ``now``.
 
         Updates the demand estimate, grows the reactive cap, and returns
         the number of instances to pre-warm *in addition to* whatever
@@ -147,12 +144,13 @@ class AutoscalerState:
         restore), never two.
         """
         policy = self.policy
+        pool = self.pool
         prewarm = 0
         if policy.kind == "reactive":
-            if (self.cap < self.max_instances
-                    and region.predicted_wait(now) > policy.scale_up_wait_s):
-                self.cap += 1
-                region.stats.scale_ups += 1
+            if (pool.cap < self.max_instances
+                    and pool.predicted_wait(now) > policy.scale_up_wait_s):
+                pool.cap += 1
+                pool.stats.scale_ups += 1
         elif policy.kind == "predictive":
             if self._last_arrival is not None:
                 gap = now - self._last_arrival
@@ -160,9 +158,9 @@ class AutoscalerState:
                     instant = 1.0 / gap
                     self._rate = (policy.ewma_alpha * instant
                                   + (1.0 - policy.ewma_alpha) * self._rate)
-            target = math.ceil(self._rate * region.warm
+            target = math.ceil(self._rate * pool.warm
                                * policy.prewarm_headroom)
-            want = min(self.cap, target) - region.live_count(now) - 1
+            want = min(pool.cap, target) - len(pool.live(now)) - 1
             if want > 0 and (self._last_prewarm is None
                              or now - self._last_prewarm
                              >= policy.prewarm_cooldown_s):

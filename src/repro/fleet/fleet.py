@@ -15,7 +15,9 @@ Three execution paths, one contract
 -----------------------------------
 The paths match the three modes of
 :func:`~repro.fleet.parallel.run_fleet_sharded` (delegated / static /
-serial), which shards only the static one across processes.
+serial), which shards only the static one across processes.  Every
+region wraps one :class:`~repro.serving.pool.InstancePool`, the same
+pool the cluster wraps, so the serving dynamics exist once.
 
 - **Delegated**: a single-region fleet under inert routing/autoscaling
   (:attr:`FleetConfig.is_single_cluster`) with a single tenant is run by
@@ -24,16 +26,16 @@ serial), which shards only the static one across processes.
   included (golden-pinned).
 - **Per-region static**: routing that never reads region state
   (``single``, ``round-robin``, a lone routable region) lets each
-  region replay its own sub-stream in one shot, heap-analytic where
-  eligible (counted in ``RegionStats.fast_forwarded``) — the per-region
-  replay ``run_fleet_sharded`` runs in static mode, here in-process.
+  region replay its own sub-stream in one shot, through the pool's
+  analytic window where eligible (counted in
+  ``RegionStats.fast_forwarded``) — the per-region replay
+  ``run_fleet_sharded`` runs in static mode, here in-process.
 - **Per-arrival**: anything else (state-coupled routing, packs, spans
   with trace retention, or ``fast_forward=False``) replays
-  arrival-by-arrival, mirroring the cluster stepping loop
-  operation-for-operation; ``run_fleet_sharded`` reports it as
-  ``mode="serial"``.  A single-region fleet on either non-delegated
-  path equals ``ClusterSimulator(fast_forward=False)``
-  (equivalence-pinned).
+  arrival-by-arrival through the pool's stepping ``serve``;
+  ``run_fleet_sharded`` reports it as ``mode="serial"``.  A
+  single-region fleet on either non-delegated path equals
+  ``ClusterSimulator(fast_forward=False)`` (equivalence-pinned).
 
 Accounting invariant (property-pinned): every offered request is
 exactly one of completed, failed, or shed —
@@ -61,13 +63,14 @@ from repro.packs.store import (PackPolicy, PackStoreState,
                                PackTransferCounters, RegistryFabric,
                                feed_pack_metrics)
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, \
-    ClusterStats, _Instance
+    ClusterStats
 from repro.serving.metrics import percentile as nearest_rank_percentile
+from repro.serving.pool import COLD, FAILED, InstancePool, service_times
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
 from repro.sim.faults import FaultCounters, FaultInjector, FaultPlan
-from repro.sim.trace import RETENTION_POLICIES, Phase, TraceRecorder
+from repro.sim.trace import RETENTION_POLICIES, TraceRecorder
 
 __all__ = ["RegionConfig", "FleetConfig", "FleetTrace", "merge_traces",
            "RegionStats", "TenantStats", "FleetStats", "FleetSimulator"]
@@ -95,12 +98,14 @@ class RegionConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region needs a name")
+        if not isinstance(self.max_instances, int):
+            raise ValueError("max_instances must be an integer")
         if self.max_instances <= 0:
             raise ValueError("need at least one instance")
-        if self.keep_alive_s < 0:
+        if not self.keep_alive_s >= 0:
             raise ValueError("keep-alive must be non-negative")
         for window in self.drain_windows:
-            if len(window) != 2 or window[0] < 0 or window[1] <= window[0]:
+            if len(window) != 2 or not 0 <= window[0] < window[1]:
                 raise ValueError(f"bad drain window {window!r}; "
                                  "need 0 <= start < end")
 
@@ -136,7 +141,7 @@ class FleetConfig:
         names = [r.name for r in self.regions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate region names: {names}")
-        if self.shed_wait_s is not None and self.shed_wait_s < 0:
+        if self.shed_wait_s is not None and not self.shed_wait_s >= 0:
             raise ValueError("shed_wait_s must be non-negative")
         if (self.trace_retention is not None
                 and self.trace_retention not in RETENTION_POLICIES):
@@ -600,20 +605,17 @@ def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
 # ----------------------------------------------------------------------
 
 class _RegionState:
-    """Mutable per-replay state of one region.
+    """Mutable per-replay state of one region: an :class:`InstancePool`
+    plus what the fleet layer wires around it — drain windows, the
+    autoscaling policy (keep-alive override, warm floor, restore
+    billing, and the scaler that updates the pool's spawn cap) and,
+    when metrics are on, the queue-depth tracker.
 
-    The scheduling arithmetic in :meth:`serve` mirrors the cluster
-    stepping loop (`ClusterSimulator.run`) operation-for-operation —
-    same reclaim predicate, same instance pick, same ``max(now,
-    busy_until)`` start, same crash/reroute bookkeeping — so that a
-    single-region fleet on the per-arrival path reproduces the bare
-    cluster's numbers exactly.  On top it adds what the fleet layer
-    owns: an autoscaled instance cap, a keep-alive override, a warm
-    floor (``min_instances``), checkpoint-restore billing for scale-up
-    spawns, and off-path pre-warming.
+    Routing reads ``routable`` / ``predicted_wait`` / ``has_warm_idle``;
+    the last two are the pool's own queries.
     """
 
-    def __init__(self, config: RegionConfig, sim: ClusterSimulator,
+    def __init__(self, config: RegionConfig, server: InferenceServer,
                  policy: AutoscalePolicy, model: str, batch: int,
                  retention: Optional[str], ring: int,
                  pack_policy: Optional[PackPolicy] = None,
@@ -621,243 +623,51 @@ class _RegionState:
                  region_index: int = 0,
                  fabric: Optional[RegistryFabric] = None) -> None:
         self.config = config
-        self.actor = f"region:{config.name}"
-        self.cold = sim._cold_time(model, batch)
-        self.warm = sim._warm_time(model, batch)
-        self.cold_extra = (self.cold - self.warm
-                           if self.cold > self.warm else 0.0)
-        self.restore_cost = (policy.restore_overhead_s
-                             + self.cold_extra / policy.restore_speedup)
         self.policy = policy
-        self.scaler = AutoscalerState(policy, config.max_instances)
-        self.keep_alive = self.scaler.keep_alive(config.keep_alive_s)
-        self.injector: Optional[FaultInjector] = (
+        actor = f"region:{config.name}"
+        cold, warm = service_times(server, config.scheme, model, batch)
+        injector: Optional[FaultInjector] = (
             config.faults.injector() if config.faults is not None else None)
-        self.instances: List[_Instance] = []
-        self.ever_warm = False   # a checkpoint exists once anything ran
         self.stats = RegionStats(name=config.name, device=config.device)
-        if self.injector is not None:
-            self.stats.faults = self.injector.counters
-        self.recorder: Optional[TraceRecorder] = None
+        if injector is not None:
+            self.stats.faults = injector.counters
+        recorder: Optional[TraceRecorder] = None
         if retention is not None:
-            self.recorder = TraceRecorder(retention=retention,
-                                          ring_size=ring)
-            self.stats.trace = self.recorder
+            recorder = TraceRecorder(retention=retention, ring_size=ring)
+            self.stats.trace = recorder
         # Kernel-pack fetch ladder: this region's store, running against
         # its own registry (dark during its outage windows) with
         # cross-region failover through ``fabric``.
-        self.pack_state: Optional[PackStoreState] = None
+        pack_state: Optional[PackStoreState] = None
         if pack_policy is not None:
-            self.pack_state = PackStoreState(
-                pack_policy, pack, self.injector, self.recorder,
-                actor=self.actor, region_index=region_index,
-                fabric=fabric)
-            self.stats.packs = self.pack_state.counters
-        # Attached by the fleet loop (or a sharded worker) when metrics
-        # are on; None keeps the serve hot path allocation-free.
-        self.queue_depth: Optional[_QueueDepthTracker] = None
-
-    # -- deterministic query surface (used by routing + autoscaling) ---
-
-    def drained(self, now: float) -> bool:
-        return any(start <= now < end
-                   for start, end in self.config.drain_windows)
+            pack_state = PackStoreState(
+                pack_policy, pack, injector, recorder, actor=actor,
+                region_index=region_index, fabric=fabric)
+            self.stats.packs = pack_state.counters
+        keep_alive = (policy.idle_timeout_s
+                      if policy.idle_timeout_s is not None
+                      else config.keep_alive_s)
+        self.pool = InstancePool(
+            self.stats, cold=cold, warm=warm, keep_alive=keep_alive,
+            cap=config.max_instances, floor=policy.min_instances,
+            actor=actor, pack_state=pack_state, faults=config.faults,
+            injector=injector, recorder=recorder)
+        if policy.checkpoint_restore:
+            # Scale-up spawns restore a warm-state checkpoint once the
+            # region has ever run (billed as a restore, not a cold start).
+            self.pool.restore_cost = (policy.restore_overhead_s
+                                      + self.pool.cold_extra
+                                      / policy.restore_speedup)
+        self.scaler = AutoscalerState(policy, self.pool)
+        self.predicted_wait = self.pool.predicted_wait
+        self.has_warm_idle = self.pool.has_warm_idle
 
     def routable(self, now: float) -> bool:
         """A region is routable unless drained: capacity can always be
         spawned (the arrival pays the cold start), so only an explicit
         drain takes a region out of rotation."""
-        return not self.drained(now)
-
-    def _live(self, now: float) -> List[_Instance]:
-        """The instances that survive a reclaim at ``now`` (non-mutating
-        twin of :meth:`_reclaim`, including the warm floor)."""
-        keep = [i for i in self.instances
-                if i.busy_until > now
-                or now - i.last_used <= self.keep_alive]
-        floor = min(self.policy.min_instances, self.scaler.cap)
-        if len(keep) < floor and len(self.instances) > len(keep):
-            kept = set(map(id, keep))
-            expired = [i for i in self.instances if id(i) not in kept]
-            expired.sort(key=lambda i: i.last_used, reverse=True)
-            kept.update(map(id, expired[:floor - len(keep)]))
-            keep = [i for i in self.instances if id(i) in kept]
-        return keep
-
-    def live_count(self, now: float) -> int:
-        return len(self._live(now))
-
-    def has_warm_idle(self, now: float) -> bool:
-        return any(i.busy_until <= now and i.warm for i in self._live(now))
-
-    def predicted_wait(self, now: float) -> float:
-        """Queueing delay the next arrival would see: zero when an idle
-        warm instance or a spawn slot exists, else the wait for the
-        earliest instance to free up."""
-        live = self._live(now)
-        if any(i.busy_until <= now and i.warm for i in live):
-            return 0.0
-        if len(live) < self.scaler.cap:
-            return 0.0
-        earliest = min(i.busy_until for i in live)
-        return earliest - now if earliest > now else 0.0
-
-    # -- mutation ------------------------------------------------------
-
-    def _reclaim(self, now: float) -> None:
-        self.instances[:] = self._live(now)
-
-    def prewarm(self, count: int, now: float) -> None:
-        """Spawn ``count`` instances off the request path.  The fleet
-        (not any request) pays the spin-up — the full cold-start extra,
-        or the checkpoint restore cost when one exists — and the
-        instance joins the pool warm, busy until the spin-up ends."""
-        for _ in range(count):
-            if len(self.instances) >= self.scaler.cap:
-                break
-            from_checkpoint = (self.policy.checkpoint_restore
-                               and self.ever_warm)
-            if from_checkpoint:
-                cost = self.restore_cost
-            elif self.pack_state is not None:
-                # Off-path spawns walk the same pack ladder; the fleet
-                # pays the fetch (or the bounded ladder walk plus the
-                # cold spin-up when the hierarchy is dark).
-                peer = any(i.warm for i in self.instances)
-                fetch = self.pack_state.fetch(now, peer)
-                if fetch.hit:
-                    cost = fetch.elapsed_s + self.pack_state.apply_s
-                else:
-                    cost = fetch.elapsed_s + self.cold_extra
-            else:
-                cost = self.cold_extra
-            instance = _Instance(busy_until=now + cost,
-                                 last_used=now + cost, warm=True)
-            self.instances.append(instance)
-            self.ever_warm = True
-            self.stats.prewarm_spawns += 1
-            self.stats.prewarm_s += cost
-            if from_checkpoint:
-                self.stats.prewarm_restores += 1
-            if self.recorder is not None:
-                self.recorder.record(now, now + cost, self.actor,
-                                     Phase.LOAD, "prewarm")
-
-    def serve(self, arrival: float) -> bool:
-        """Schedule one request; returns True iff it completed.
-
-        Mirrors the cluster stepping loop, with two fleet extensions:
-        the spawn cap is the autoscaler's breathing cap (not the static
-        ``max_instances``), and a spawn backed by a warm-state
-        checkpoint serves at restore cost instead of the full cold
-        start (billed as a *restore*, never as a cold start).
-        """
-        stats = self.stats
-        recorder = self.recorder
-        injector = self.injector
-        plan = self.config.faults
-        now = arrival
-        attempts = 0
-        while True:
-            self._reclaim(now)
-            instance = self._pick(now)
-            restored = False
-            if instance is None:
-                if len(self.instances) < self.scaler.cap:
-                    instance = _Instance()
-                    self.instances.append(instance)
-                    restored = (self.policy.checkpoint_restore
-                                and self.ever_warm)
-                else:
-                    instance = min(self.instances,
-                                   key=lambda i: i.busy_until)
-            start = max(now, instance.busy_until)
-            if attempts == 0:
-                stats.queue_waits.append(start - arrival)
-                if self.queue_depth is not None:
-                    self.queue_depth.observe(arrival, start)
-            warm_attempt = instance.warm
-            pack_tier: Optional[str] = None
-            if warm_attempt:
-                service = self.warm
-            elif restored:
-                # A checkpoint restore already ships this instance's
-                # warm state; it takes precedence over the pack ladder.
-                service = self.restore_cost + self.warm
-            elif self.pack_state is not None:
-                peer = any(other.warm for other in self.instances
-                           if other is not instance)
-                fetch = self.pack_state.fetch(start, peer)
-                if fetch.hit:
-                    pack_tier = fetch.tier
-                    service = (fetch.elapsed_s
-                               + self.pack_state.apply_s + self.warm)
-                else:
-                    service = fetch.elapsed_s + self.cold
-            else:
-                service = self.cold
-            crash_at = (injector.crash_point(service)
-                        if injector is not None else None)
-            if crash_at is None:
-                if warm_attempt:
-                    stats.warm_hits += 1
-                elif restored:
-                    stats.restores += 1
-                    stats.restore_s += self.restore_cost
-                elif pack_tier is not None:
-                    stats.pack_restores += 1
-                else:
-                    stats.cold_starts += 1
-                finish = start + service
-                instance.busy_until = finish
-                instance.last_used = finish
-                instance.warm = True
-                self.ever_warm = True
-                stats.latencies.append(finish - arrival)
-                if recorder is not None:
-                    if warm_attempt:
-                        recorder.record(start, finish, self.actor,
-                                        Phase.EXEC, "serve")
-                    else:
-                        boundary = start + (service - self.warm
-                                            if service > self.warm else 0.0)
-                        if restored:
-                            load_name = "restore"
-                        elif pack_tier is not None:
-                            load_name = f"pack-restore/{pack_tier}"
-                        else:
-                            load_name = "cold-start"
-                        recorder.record(start, boundary, self.actor,
-                                        Phase.LOAD, load_name)
-                        recorder.record(boundary, finish, self.actor,
-                                        Phase.EXEC, "serve")
-                if injector is not None:
-                    stats.faults.completed_requests += 1
-                return True
-            stats.faults.crashes += 1
-            crash_time = start + crash_at
-            instance.busy_until = crash_time + plan.restart_delay_s
-            instance.last_used = instance.busy_until
-            instance.warm = False
-            if recorder is not None:
-                recorder.record(start, crash_time, self.actor,
-                                Phase.FAULT, "crash")
-            attempts += 1
-            if attempts > plan.max_reroutes:
-                stats.failed += 1
-                stats.faults.failed_requests += 1
-                return False
-            stats.faults.reroutes += 1
-            now = crash_time
-
-    def _pick(self, now: float) -> Optional[_Instance]:
-        """The warm instance free at ``now`` that has idled longest
-        (identical to ``ClusterSimulator._pick_instance``)."""
-        free = [i for i in self.instances
-                if i.busy_until <= now and i.warm]
-        if not free:
-            return None
-        return min(free, key=lambda i: i.last_used)
+        return not any(start <= now < end
+                       for start, end in self.config.drain_windows)
 
 
 # ----------------------------------------------------------------------
@@ -1002,24 +812,19 @@ class FleetSimulator:
         regions: List[_RegionState] = []
         for region_index, region_config in enumerate(config.regions):
             server = _server_for(region_config.device, self._servers)
-            sim = ClusterSimulator(
-                server,
-                ClusterConfig(scheme=region_config.scheme,
-                              max_instances=region_config.max_instances,
-                              keep_alive_s=region_config.keep_alive_s))
             pack: Optional[KernelPack] = None
             if config.packs is not None:
                 pack = pack_for(server, trace.model, region_config.scheme,
                                 trace.batch)
-            state = _RegionState(region_config, sim, policy,
+            state = _RegionState(region_config, server, policy,
                                  trace.model, trace.batch,
                                  config.trace_retention, config.trace_ring,
                                  pack_policy=config.packs, pack=pack,
                                  region_index=region_index, fabric=fabric)
-            if spans is not None and state.recorder is not None:
-                spans.bind(state.recorder)
+            if spans is not None and state.stats.trace is not None:
+                spans.bind(state.stats.trace)
             if self.metrics is not None:
-                state.queue_depth = _QueueDepthTracker()
+                state.pool.queue_depth = _QueueDepthTracker()
             regions.append(state)
         stats = FleetStats(offered=len(trace))
         tenants = [TenantStats(name=name) for name in trace.tenant_names]
@@ -1029,16 +834,16 @@ class FleetSimulator:
             tenant.offered += 1
             if spans is None:
                 for region in regions:
-                    region.scaler.idle_tick(region, arrival)
+                    region.scaler.idle_tick(arrival)
             else:
                 for region in regions:
                     downs = region.stats.scale_downs
-                    region.scaler.idle_tick(region, arrival)
+                    region.scaler.idle_tick(arrival)
                     delta = region.stats.scale_downs - downs
                     if delta:
                         _emit_scale_down(spans, region.config.name,
                                          arrival, delta,
-                                         region.scaler.cap)
+                                         region.pool.cap)
             choice = router.choose(regions, arrival)
             if choice is None:
                 stats.shed_unroutable += 1
@@ -1057,45 +862,40 @@ class FleetSimulator:
                                    wait)
                     continue
             if spans is None:
-                extra = region.scaler.observe_arrival(region, arrival)
+                extra = region.scaler.observe_arrival(arrival)
                 if extra:
-                    region.prewarm(extra, arrival)
+                    region.pool.prewarm(extra, arrival)
             else:
                 _emit_route(spans, region.config.name, arrival,
                             routing_kind, tenant.name)
                 ups = region.stats.scale_ups
-                extra = region.scaler.observe_arrival(region, arrival)
+                extra = region.scaler.observe_arrival(arrival)
                 if region.stats.scale_ups > ups:
                     _emit_scale_up(spans, region.config.name, arrival,
                                    region.stats.scale_ups - ups,
-                                   region.scaler.cap)
+                                   region.pool.cap)
                 if extra:
                     spawned = region.stats.prewarm_spawns
                     restored = region.stats.prewarm_restores
-                    region.prewarm(extra, arrival)
+                    region.pool.prewarm(extra, arrival)
                     spawned = region.stats.prewarm_spawns - spawned
                     if spawned:
                         _emit_prewarm(
                             spans, region.config.name, arrival, spawned,
                             region.stats.prewarm_restores - restored)
-            if monitors is None:
-                if region.serve(arrival):
-                    tenant.latencies.append(region.stats.latencies[-1])
-                else:
-                    tenant.failed += 1
+            code = region.pool.serve(arrival)
+            if code == FAILED:
+                tenant.failed += 1
+                fresh = (monitors.observe_failed(arrival)
+                         if monitors is not None else None)
             else:
-                colds = region.stats.cold_starts
-                if region.serve(arrival):
-                    latency = region.stats.latencies[-1]
-                    tenant.latencies.append(latency)
-                    fresh = monitors.observe_completed(
-                        arrival, latency,
-                        region.stats.cold_starts > colds)
-                else:
-                    tenant.failed += 1
-                    fresh = monitors.observe_failed(arrival)
-                if spans is not None and fresh:
-                    emit_alert_spans(spans, fresh)
+                latency = region.stats.latencies[-1]
+                tenant.latencies.append(latency)
+                fresh = (monitors.observe_completed(arrival, latency,
+                                                    code == COLD)
+                         if monitors is not None else None)
+            if spans is not None and fresh:
+                emit_alert_spans(spans, fresh)
         for region in regions:
             stats.regions[region.config.name] = region.stats
         for tenant in tenants:
@@ -1104,7 +904,7 @@ class FleetSimulator:
             stats.monitors = monitors.summary()
         queue_peaks = None
         if self.metrics is not None:
-            queue_peaks = {region.config.name: region.queue_depth.peak
+            queue_peaks = {region.config.name: region.pool.queue_depth.peak
                            for region in regions}
         self._feed_metrics(stats, queue_peaks)
         return stats

@@ -21,12 +21,13 @@ picked automatically:
   ``round-robin``, or a lone routable region) is precomputed exactly
   from the drain windows.  Every region then replays its own
   sub-stream in one shot; regions under ``fixed`` / ``scale-to-zero``
-  autoscaling with no fault plan ride an analytic min-heap fast path
-  (the fleet twin of the cluster fast-forward, warm floor / restore
-  billing / shedding included).  The serial ``FleetSimulator`` runs
-  this same per-region replay and merge in-process
-  (:func:`_replay_assigned`), so at ``jobs=1`` the two take the same
-  time; only ``jobs > 1`` adds parallelism.
+  autoscaling with no fault plan replay through the instance pool's
+  analytic window (:meth:`~repro.serving.pool.InstancePool.fast_forward`,
+  the one the cluster uses, warm floor / restore billing / shedding
+  included), the others through its stepping ``serve``.  The serial
+  ``FleetSimulator`` runs this same per-region replay and merge
+  in-process (:func:`_replay_assigned`), so at ``jobs=1`` the two take
+  the same time; only ``jobs > 1`` adds parallelism.
 - **serial** — everything else: state-coupled routing (``least-queue``
   / ``warm-first`` across >= 2 routable regions), kernel packs (the
   registry fabric couples regions), and span capture combined with
@@ -43,7 +44,6 @@ from __future__ import annotations
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -59,19 +59,12 @@ from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
 from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
-from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.serving.pool import COLD, FAILED, SHED
 from repro.serving.requests import RequestTrace, poisson_trace
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["TraceSpec", "ShardReport", "run_fleet_sharded",
            "equivalence_problems"]
-
-# Per-arrival outcome codes a shard reports back for tenant accounting.
-# The detailed completed codes (cold / restore) let the coordinator
-# replay SLO monitor observations without re-deriving billing; plain
-# _COMPLETED remains what the undetailed stepping path emits.
-_COMPLETED, _FAILED, _SHED = 0, 1, 2
-_COMPLETED_COLD, _COMPLETED_RESTORE = 3, 4
 
 # Control-plane event codes a shard logs (as ``(k, code, a, b)`` tuples)
 # when the coordinator needs to replay decision spans.  Only logged when
@@ -225,9 +218,8 @@ class _RegionJob:
     # --- telemetry knobs ----------------------------------------------
     collect_metrics: bool = False    # feed a fresh registry, ship a dump
     want_events: bool = False        # log control-plane event tuples
-    detail: bool = False             # detailed completed codes (SLO)
     routing_kind: str = "single"     # the fleet_routed_total policy label
-    analytic: bool = False           # eligible regions: _serve_analytic
+    analytic: bool = False           # eligible regions: the pool window
 
 
 @dataclass
@@ -246,78 +238,44 @@ def _job_trace(job: _RegionJob) -> FleetTrace:
     return job.trace if job.trace is not None else job.spec.materialize()
 
 
-def _build_state(job: _RegionJob, trace: FleetTrace,
-                 servers=None) -> _RegionState:
-    region = job.config
-    sim = ClusterSimulator(
-        _server_for(region.device, servers),
-        ClusterConfig(scheme=region.scheme,
-                      max_instances=region.max_instances,
-                      keep_alive_s=region.keep_alive_s))
-    return _RegionState(region, sim, job.policy, trace.model, trace.batch,
-                        job.retention, job.ring)
-
-
 def _serve_one(state: _RegionState, t: float, shed_wait: Optional[float],
-               append) -> None:
-    """Serial per-arrival sequence for the routed region: shed check,
-    autoscaler observation, pre-warm, serve — in that order."""
-    if shed_wait is not None and state.predicted_wait(t) > shed_wait:
-        state.stats.shed += 1
-        append(_SHED)
-        return
-    extra = state.scaler.observe_arrival(state, t)
-    if extra:
-        state.prewarm(extra, t)
-    append(_COMPLETED if state.serve(t) else _FAILED)
-
-
-def _serve_one_obs(state: _RegionState, t: float,
-                   shed_wait: Optional[float], append, k: int,
-                   events: Optional[list]) -> None:
-    """:func:`_serve_one` with telemetry: detailed completed codes and
-    (when ``events`` is a list) the control-plane deltas the
-    coordinator replays into decision spans.  Deltas are detected
-    exactly the way the serial loop detects them, and the values keep
-    their Python types so replayed span attrs compare byte-equal."""
+               append, k: int, events: Optional[list]) -> None:
+    """The serial per-arrival sequence for the routed region: shed
+    check, autoscaler observation, pre-warm, serve — in that order —
+    appending the arrival's outcome code.  When ``events`` is a list it
+    also logs the control-plane deltas the coordinator replays into
+    decision spans.  Deltas are detected exactly the way the serial
+    loop detects them, and the values keep their Python types so
+    replayed span attrs compare byte-equal."""
     stats = state.stats
     if shed_wait is not None:
         wait = state.predicted_wait(t)
         if wait > shed_wait:
             stats.shed += 1
-            append(_SHED)
+            append(SHED)
             if events is not None:
                 events.append((k, _EV_SHED, wait, 0))
             return
+    pool = state.pool
     if events is None:
-        extra = state.scaler.observe_arrival(state, t)
+        extra = state.scaler.observe_arrival(t)
         if extra:
-            state.prewarm(extra, t)
+            pool.prewarm(extra, t)
     else:
         ups = stats.scale_ups
-        extra = state.scaler.observe_arrival(state, t)
+        extra = state.scaler.observe_arrival(t)
         if stats.scale_ups > ups:
             events.append((k, _EV_SCALE_UP, stats.scale_ups - ups,
-                           state.scaler.cap))
+                           pool.cap))
         if extra:
             spawned = stats.prewarm_spawns
             restored = stats.prewarm_restores
-            state.prewarm(extra, t)
+            pool.prewarm(extra, t)
             spawned = stats.prewarm_spawns - spawned
             if spawned:
                 events.append((k, _EV_PREWARM, spawned,
                                stats.prewarm_restores - restored))
-    colds = stats.cold_starts
-    restores = stats.restores
-    if state.serve(t):
-        if stats.cold_starts > colds:
-            append(_COMPLETED_COLD)
-        elif stats.restores > restores:
-            append(_COMPLETED_RESTORE)
-        else:
-            append(_COMPLETED)
-    else:
-        append(_FAILED)
+    append(pool.serve(t))
 
 
 def _serve_stepping(state: _RegionState, arrivals, job: _RegionJob,
@@ -325,7 +283,6 @@ def _serve_stepping(state: _RegionState, arrivals, job: _RegionJob,
     mine = job.region_index
     shed_wait = job.shed_wait_s
     append = outcomes.append
-    obs = events is not None or job.detail
     if state.policy.kind == "reactive":
         # Reactive capacity breathes on *global* quiet time: the scaler
         # ticks at every fleet arrival, routed here or not.
@@ -334,118 +291,19 @@ def _serve_stepping(state: _RegionState, arrivals, job: _RegionJob,
         stats = state.stats
         for k, t in enumerate(arrivals):
             if events is None:
-                scaler.idle_tick(state, t)
+                scaler.idle_tick(t)
             else:
                 downs = stats.scale_downs
-                scaler.idle_tick(state, t)
+                scaler.idle_tick(t)
                 if stats.scale_downs > downs:
                     events.append((k, _EV_SCALE_DOWN,
-                                   stats.scale_downs - downs, scaler.cap))
+                                   stats.scale_downs - downs,
+                                   state.pool.cap))
             if member(k) == mine:
-                if obs:
-                    _serve_one_obs(state, t, shed_wait, append, k, events)
-                else:
-                    _serve_one(state, t, shed_wait, append)
-    elif obs:
-        for k in _assigned(job.assignment, mine, len(arrivals)):
-            _serve_one_obs(state, arrivals[k], shed_wait, append, k,
-                           events)
+                _serve_one(state, t, shed_wait, append, k, events)
     else:
         for k in _assigned(job.assignment, mine, len(arrivals)):
-            _serve_one(state, arrivals[k], shed_wait, append)
-
-
-def _serve_analytic(state: _RegionState, arrivals, indices,
-                    shed_wait: Optional[float], outcomes,
-                    events: Optional[list] = None) -> int:
-    """Heap-analytic sub-stream replay: the fleet twin of the cluster
-    fast-forward.
-
-    Eligible when the region's evolution is closed-form: no fault plan
-    (every serve succeeds), no recorder, and a ``fixed`` /
-    ``scale-to-zero`` autoscaler (constant cap, inert ticks, the only
-    observable scaler effect is the keep-alive override already folded
-    into ``state.keep_alive``).  Instances live in a min-heap of finish
-    times — for all-warm pools ``busy_until == last_used``, so heap
-    order is both the reclaim order and the pick order.  Reclaims stop
-    at the warm floor (keeping the newest-expired instances, exactly
-    the ``_live`` backfill), spawns bill a cold start or — under
-    ``checkpoint_restore`` once anything ran — a restore, and the shed
-    predicate mirrors ``predicted_wait`` bit for bit.
-    """
-    pool: List[float] = []
-    size = 0
-    cap = state.scaler.cap
-    floor = min(state.policy.min_instances, cap)
-    keep_alive = state.keep_alive
-    warm_time = state.warm
-    cold_time = state.cold
-    restore_cost = state.restore_cost
-    restore_service = restore_cost + warm_time
-    use_restore = state.policy.checkpoint_restore
-    ever_warm = state.ever_warm
-    stats = state.stats
-    latencies = stats.latencies
-    queue_waits = stats.queue_waits
-    tracker = state.queue_depth
-    append = outcomes.append
-    served = 0
-    for k in indices:
-        t = arrivals[k]
-        while size > floor and t - pool[0] > keep_alive:
-            heappop(pool)
-            size -= 1
-        if shed_wait is not None:
-            if (size and pool[0] <= t) or size < cap:
-                wait = 0.0
-            else:
-                front = pool[0]
-                wait = front - t if front > t else 0.0
-            if wait > shed_wait:
-                stats.shed += 1
-                append(_SHED)
-                if events is not None:
-                    events.append((k, _EV_SHED, wait, 0))
-                continue
-        if size and pool[0] <= t:
-            # Warm hit on the longest-idle free instance (the root).
-            start = t
-            finish = t + warm_time
-            heapreplace(pool, finish)
-            stats.warm_hits += 1
-            code = _COMPLETED
-        elif size < cap:
-            # Spawn: a fresh instance (busy since 0.0) serves cold, or
-            # from a checkpoint once the region has ever been warm.
-            start = t if t > 0.0 else 0.0
-            if use_restore and ever_warm:
-                finish = start + restore_service
-                stats.restores += 1
-                stats.restore_s += restore_cost
-                code = _COMPLETED_RESTORE
-            else:
-                finish = start + cold_time
-                stats.cold_starts += 1
-                code = _COMPLETED_COLD
-            heappush(pool, finish)
-            size += 1
-        else:
-            # Queue on the earliest-free (warm) instance.
-            busy = pool[0]
-            start = busy if busy > t else t
-            finish = start + warm_time
-            heapreplace(pool, finish)
-            stats.warm_hits += 1
-            code = _COMPLETED
-        ever_warm = True
-        queue_waits.append(start - t)
-        if tracker is not None:
-            tracker.observe(t, start)
-        latencies.append(finish - t)
-        append(code)
-        served += 1
-    state.ever_warm = ever_warm
-    return served
+            _serve_one(state, arrivals[k], shed_wait, append, k, events)
 
 
 def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
@@ -453,31 +311,45 @@ def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
     the exact serial RegionStats (``fast_forwarded`` counts the
     requests served analytically)."""
     trace = _job_trace(job)
-    state = _build_state(job, trace, servers)
+    region = job.config
+    state = _RegionState(region, _server_for(region.device, servers),
+                         job.policy, trace.model, trace.batch,
+                         job.retention, job.ring)
+    pool = state.pool
     if job.collect_metrics:
-        state.queue_depth = _QueueDepthTracker()
+        pool.queue_depth = _QueueDepthTracker()
     arrivals = trace.arrivals
     outcomes = array("b")
     events: Optional[list] = [] if job.want_events else None
     began = perf_counter()
-    if (job.analytic and job.retention is None and state.injector is None
+    # The analytic window applies when the region's evolution is
+    # closed-form: no fault plan (every serve succeeds), no recorder,
+    # and a ``fixed`` / ``scale-to-zero`` autoscaler (constant cap,
+    # inert ticks; the keep-alive override is already the pool's).
+    if (job.analytic and job.retention is None and pool.injector is None
             and state.policy.kind in ("fixed", "scale-to-zero")):
-        state.stats.fast_forwarded = _serve_analytic(
-            state, arrivals,
-            _assigned(job.assignment, job.region_index, len(arrivals)),
-            job.shed_wait_s, outcomes, events)
+        indices = _assigned(job.assignment, job.region_index, len(arrivals))
+        if isinstance(indices, range):
+            mine = arrivals[indices.start:indices.stop:indices.step]
+        else:
+            mine = [arrivals[k] for k in indices]
+        sheds: Optional[list] = [] if events is not None else None
+        pool.fast_forward(mine, job.shed_wait_s, outcomes, sheds)
+        if sheds:
+            events.extend((indices[pos], _EV_SHED, wait, 0)
+                          for pos, wait in sheds)
     else:
         _serve_stepping(state, arrivals, job, outcomes, events)
     wall = perf_counter() - began
-    trace_state = (state.recorder.state_dict()
-                   if state.recorder is not None else None)
     stats = state.stats
+    trace_state = (stats.trace.state_dict()
+                   if stats.trace is not None else None)
     stats.trace = None  # recorders travel as state dicts
     metrics_dump = None
     if job.collect_metrics:
         registry = MetricsRegistry()
         _feed_region_metrics(registry, stats, job.routing_kind,
-                             state.queue_depth.peak)
+                             pool.queue_depth.peak)
         metrics_dump = registry.to_json()
     return _RegionResult(stats=stats, trace_state=trace_state,
                          outcomes=outcomes.tobytes(), wall_s=wall,
@@ -557,7 +429,7 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
                     _emit_unroutable(spans, t, tenant.name)
                 continue
             outcome = next(outcome_iters[code])
-            if outcome == _SHED:
+            if outcome == SHED:
                 tenant.shed += 1
                 if spans is not None:
                     log, p = events[code], positions[code]
@@ -579,7 +451,7 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
                                   log[p][3])
                     p += 1
                 positions[code] = p
-            if outcome == _FAILED:
+            if outcome == FAILED:
                 tenant.failed += 1
                 fresh = (monitors.observe_failed(t)
                          if monitors is not None else None)
@@ -587,7 +459,7 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
                 latency = next(latency_iters[code])
                 tenant.latencies.append(latency)
                 fresh = (monitors.observe_completed(
-                    t, latency, outcome == _COMPLETED_COLD)
+                    t, latency, outcome == COLD)
                     if monitors is not None else None)
             if spans is not None and fresh:
                 emit_alert_spans(spans, fresh)
@@ -615,7 +487,6 @@ def _replay_assigned(config: FleetConfig, trace: FleetTrace, assignment,
                        spec=spec, assignment=assignment,
                        collect_metrics=metrics is not None,
                        want_events=spans is not None,
-                       detail=monitors is not None,
                        routing_kind=config.routing.kind,
                        analytic=config.fast_forward)
             for i, region in enumerate(config.regions)]

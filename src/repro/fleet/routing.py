@@ -63,11 +63,13 @@ class RouterState:
     def choose(self, regions: Sequence, now: float) -> Optional[int]:
         """Index of the region that serves an arrival at ``now``.
 
-        ``regions`` expose the deterministic query surface documented in
-        :class:`repro.fleet.fleet._RegionState`.  Returns ``None`` only
-        when *no* region is routable (every region drained) — the fleet
-        sheds the request with a well-defined error rather than
-        violating a drain.
+        ``regions`` expose ``routable(now)`` plus the instance pool's
+        deterministic queries ``predicted_wait(now)`` and
+        ``has_warm_idle(now)`` (:class:`repro.fleet.fleet._RegionState`
+        over :class:`repro.serving.pool.InstancePool`).  Returns
+        ``None`` only when *no* region is routable (every region
+        drained) — the fleet sheds the request with a well-defined
+        error rather than violating a drain.
         """
         routable: List[int] = [i for i, region in enumerate(regions)
                                if region.routable(now)]

@@ -84,17 +84,17 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         if (self.checkpoint_interval_s is not None
-                and self.checkpoint_interval_s <= 0):
+                and not self.checkpoint_interval_s > 0):
             raise ValueError("checkpoint_interval_s must be positive")
         for name in ("checkpoint_write_s", "restore_overhead_s",
                      "max_restart_delay_s", "breaker_window_s",
                      "breaker_cooldown_s", "breaker_max_cooldown_s",
                      "drain_restart_s"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("restore_speedup", "restart_backoff",
                      "breaker_backoff"):
-            if getattr(self, name) < 1.0:
+            if not getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be >= 1")
         if self.checkpoint_retention < 1:
             raise ValueError("checkpoint_retention must be >= 1")
@@ -104,7 +104,7 @@ class ResiliencePolicy:
             raise ValueError("max_queue_depth must be non-negative")
         for name in ("shed_wait_s", "degrade_wait_s"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if (self.recycle_after_requests is not None
                 and self.recycle_after_requests < 1):
@@ -131,7 +131,8 @@ class ResiliencePolicy:
 
 
 class ResilienceState:
-    """Per-replay supervisor driven by :class:`ClusterSimulator.run`.
+    """Per-replay supervisor driven by the cluster's instance pool
+    (:meth:`repro.serving.pool.InstancePool.serve`).
 
     Owns the mutable mechanism state (admission queue, degraded-mode
     flag) and implements the per-instance health transitions.  All

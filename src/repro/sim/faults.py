@@ -163,16 +163,18 @@ class FaultPlan:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("load_backoff_base_s", "exec_stall_s",
                      "loader_stall_s", "restart_delay_s"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.load_timeout_s is not None and self.load_timeout_s < 0:
+        if (self.load_timeout_s is not None
+                and not self.load_timeout_s >= 0):
             raise ValueError("load_timeout_s must be non-negative")
+        if not isinstance(self.max_reroutes, int):
+            raise ValueError("max_reroutes must be an integer")
         if self.max_reroutes < 0:
             raise ValueError("max_reroutes must be non-negative")
         for name in ("registry_outage_windows", "peer_churn_windows"):
             for window in getattr(self, name):
-                if (len(window) != 2 or window[0] < 0
-                        or window[1] <= window[0]):
+                if len(window) != 2 or not 0 <= window[0] < window[1]:
                     raise ValueError(f"bad {name} window {window!r}; "
                                      "need 0 <= start < end")
 

@@ -17,11 +17,12 @@ with the default run on every audited field except ``fast_forwarded``.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core.schemes import Scheme
-from repro.fleet import (FleetConfig, FleetSimulator, RegionConfig,
-                         RoutingPolicy, equivalence_problems)
+from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
+                         RegionConfig, RoutingPolicy, equivalence_problems)
 from repro.serving.requests import poisson_trace
 from repro.sim.faults import FaultPlan
 from tests.test_fleet_properties import _fleet_configs, _fleet_traces
@@ -84,6 +85,33 @@ def test_static_replay_equals_per_arrival_loop(config, trace):
     stepped = FleetSimulator(
         dataclasses.replace(config, fast_forward=False)).run(trace)
     assert stepped.fast_forwarded == 0
+    problems = [p for p in equivalence_problems(stepped, fast)
+                if ".fast_forwarded:" not in p]
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("autoscale", (
+    None,
+    AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.001,
+                    min_instances=1, checkpoint_restore=True)),
+    ids=("fixed", "scale-to-zero-floor-restore"))
+@pytest.mark.parametrize("shed_wait", (None, 0.002), ids=("no-shed", "shed"))
+def test_queueing_at_capacity_equals_per_arrival_loop(autoscale, shed_wait):
+    # Dense traffic on two-instance regions queues many requests at
+    # capacity, so the analytic window's queue arithmetic, reclaims to
+    # the warm floor, restore billing and shed predicate are all live.
+    regions = tuple(RegionConfig(name=f"r{i}", device="MI100",
+                                 scheme=Scheme.PASK, max_instances=2,
+                                 keep_alive_s=0.01) for i in range(2))
+    config = FleetConfig(regions=regions,
+                         routing=RoutingPolicy("round-robin"),
+                         autoscale=autoscale, shed_wait_s=shed_wait)
+    trace = poisson_trace("res", 2000.0, 0.5, seed=4)
+    fast = FleetSimulator(config).run(trace)
+    stepped = FleetSimulator(
+        dataclasses.replace(config, fast_forward=False)).run(trace)
+    assert fast.fast_forwarded == fast.completed > 0
+    assert any(wait > 0 for wait in fast.regions["r0"].queue_waits)
     problems = [p for p in equivalence_problems(stepped, fast)
                 if ".fast_forwarded:" not in p]
     assert not problems, "\n".join(problems)

@@ -12,7 +12,8 @@ accounted for.
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.serving.cluster import ClusterConfig, ClusterSimulator, _Instance
+from repro.serving.cluster import ClusterConfig, ClusterSimulator
+from repro.serving.pool import _Instance
 from repro.serving.requests import poisson_trace
 from repro.serving.resilience import ResiliencePolicy, ResilienceState
 from repro.serving.server import InferenceServer
