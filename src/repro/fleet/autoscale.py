@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 __all__ = ["AutoscalePolicy", "AutoscalerState", "AUTOSCALE_KINDS"]
 
@@ -120,11 +120,12 @@ class AutoscalerState:
     # ------------------------------------------------------------------
     # Hooks driven by the fleet loop
     # ------------------------------------------------------------------
-    def idle_tick(self, now: float) -> None:
-        """Periodic (per fleet arrival) idle check: reactive scale-down."""
+    def idle_tick(self, now: float) -> int:
+        """Periodic (per fleet arrival) idle check: reactive scale-down.
+        Returns how many instances the cap shrank by (0 or 1)."""
         pool = self.pool
         if self.policy.kind != "reactive" or pool.cap <= self._floor:
-            return
+            return 0
         last = self._last_arrival
         if last is not None and now - last > self.policy.scale_down_idle_s:
             pool.cap -= 1
@@ -132,25 +133,29 @@ class AutoscalerState:
             # One step per quiet period: restart the idle clock so a
             # long silence drains capacity gradually, not instantly.
             self._last_arrival = now
+            return 1
+        return 0
 
-    def observe_arrival(self, now: float) -> int:
+    def observe_arrival(self, now: float) -> Tuple[int, int]:
         """An arrival was routed to the pool's region at ``now``.
 
-        Updates the demand estimate, grows the reactive cap, and returns
-        the number of instances to pre-warm *in addition to* whatever
-        the arriving request itself spawns (predictive kind only) — the
-        reservation of the arrival's own slot is what guarantees a lone
-        request after scale-down bills exactly one cold start (or one
-        restore), never two.
+        Updates the demand estimate and grows the reactive cap.  Returns
+        ``(grew, prewarm)``: how many instances the cap grew by (0 or
+        1), and the number of instances to pre-warm *in addition to*
+        whatever the arriving request itself spawns (predictive kind
+        only) — the reservation of the arrival's own slot is what
+        guarantees a lone request after scale-down bills exactly one
+        cold start (or one restore), never two.
         """
         policy = self.policy
         pool = self.pool
-        prewarm = 0
+        grew = prewarm = 0
         if policy.kind == "reactive":
             if (pool.cap < self.max_instances
                     and pool.predicted_wait(now) > policy.scale_up_wait_s):
                 pool.cap += 1
                 pool.stats.scale_ups += 1
+                grew = 1
         elif policy.kind == "predictive":
             if self._last_arrival is not None:
                 gap = now - self._last_arrival
@@ -167,4 +172,4 @@ class AutoscalerState:
                 prewarm = want
                 self._last_prewarm = now
         self._last_arrival = now
-        return prewarm
+        return grew, prewarm

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.schemes import Scheme
 from repro.fleet.autoscale import AutoscalePolicy, AutoscalerState
@@ -65,7 +65,8 @@ from repro.packs.store import (PackPolicy, PackStoreState,
 from repro.serving.cluster import ClusterConfig, ClusterSimulator, \
     ClusterStats
 from repro.serving.metrics import percentile as nearest_rank_percentile
-from repro.serving.pool import COLD, FAILED, InstancePool, service_times
+from repro.serving.pool import (FAILED, SHED, InstancePool, observe_outcome,
+                                service_times)
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy
 from repro.serving.server import InferenceServer
@@ -148,6 +149,8 @@ class FleetConfig:
             raise ValueError(
                 f"unknown trace retention {self.trace_retention!r}; "
                 f"expected None or one of {RETENTION_POLICIES}")
+        if not isinstance(self.trace_ring, int):
+            raise ValueError("trace_ring must be an integer")
         if self.trace_ring <= 0:
             raise ValueError("trace_ring must be positive")
 
@@ -240,8 +243,40 @@ def merge_traces(named: Sequence[Tuple[str, RequestTrace]]) -> FleetTrace:
 # Statistics
 # ----------------------------------------------------------------------
 
+class _OutcomeViews:
+    """Views over ``latencies`` and ``failed`` shared by the region,
+    tenant and fleet statistics."""
+
+    @property
+    def completed(self) -> int:
+        return len(self.latencies)
+
+    @property
+    def availability(self) -> float:
+        """Shed-adjusted availability (same contract as
+        :attr:`~repro.serving.cluster.ClusterStats.availability`)."""
+        finished = self.completed + self.failed
+        if not finished:
+            return 1.0
+        return self.completed / finished
+
+    @property
+    def mean_latency(self) -> float:
+        if not self.latencies:
+            return 0.0
+        return sum(self.latencies) / len(self.latencies)
+
+    def percentile(self, q: float) -> float:
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantile out of range: {q}")
+        latencies = self.latencies
+        if not latencies:
+            return 0.0
+        return nearest_rank_percentile(latencies, q)
+
+
 @dataclass
-class RegionStats:
+class RegionStats(_OutcomeViews):
     """Outcome of one replay as seen by a single region."""
 
     name: str
@@ -281,36 +316,12 @@ class RegionStats:
                    packs=stats.packs)
 
     @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    @property
     def requests(self) -> int:
         return len(self.latencies) + self.failed + self.shed
 
-    @property
-    def availability(self) -> float:
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        if not self.latencies:
-            return 0.0
-        return nearest_rank_percentile(self.latencies, q)
-
 
 @dataclass
-class TenantStats:
+class TenantStats(_OutcomeViews):
     """Per-traffic-class outcome accounting."""
 
     name: str
@@ -319,33 +330,9 @@ class TenantStats:
     shed: int = 0
     latencies: List[float] = field(default_factory=list)
 
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    @property
-    def availability(self) -> float:
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        if not self.latencies:
-            return 0.0
-        return nearest_rank_percentile(self.latencies, q)
-
 
 @dataclass
-class FleetStats:
+class FleetStats(_OutcomeViews):
     """Outcome of one fleet replay: per-region, per-tenant, aggregate."""
 
     offered: int = 0
@@ -416,41 +403,124 @@ class FleetStats:
         return self.offered == self.completed + self.failed + self.shed
 
     @property
-    def availability(self) -> float:
-        """Shed-adjusted availability (same contract as
-        :attr:`~repro.serving.cluster.ClusterStats.availability`)."""
-        finished = self.completed + self.failed
-        if not finished:
-            return 1.0
-        return self.completed / finished
-
-    @property
     def mean_latency(self) -> float:
-        total = n = 0
+        n = 0
         acc = 0.0
         for region in self.regions.values():
             acc += sum(region.latencies)
             n += len(region.latencies)
         return acc / n if n else 0.0
 
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile out of range: {q}")
-        merged = self.latencies
-        if not merged:
-            return 0.0
-        return nearest_rank_percentile(merged, q)
-
 
 # ----------------------------------------------------------------------
 # Control-plane telemetry
 # ----------------------------------------------------------------------
 #
-# Decision spans and fleet metrics are emitted through the module-level
-# helpers below so the serial loop and the sharded coordinator replay
-# (repro.fleet.parallel) call the *same* code with the same arguments —
-# that is what makes telemetry-on sharded span/metrics dumps
-# byte-identical to telemetry-on serial.
+# Every control-plane decision is one FleetEvent, appended to a log by
+# the region step (scale-down, shed, route, scale-up, prewarm), by the
+# analytic window's wrapper (shed, route) and by the coordinator
+# (unroutable, alert).  One renderer, _SpanLog, turns an event into its
+# decision span.  The per-arrival loop hands the renderer itself to the
+# step as the log, so each span lands the moment its decision is made;
+# the static path keeps plain lists and renders them once, in the order
+# the per-arrival loop would have (_SERIAL_STAGE).  The same events and
+# the same renderer are what make both span lists byte-identical.
+
+class FleetEvent(NamedTuple):
+    """One control-plane decision at global arrival index ``k``.
+
+    ``region`` is the region's index (-1 for fleet-wide events).  The
+    payload ``a``/``b`` depends on ``kind``: ``scale-down`` and
+    ``scale-up`` carry (count, cap), ``prewarm`` (spawned, restores),
+    ``shed`` (predicted wait, 0) and ``alert`` (the
+    :class:`~repro.obs.monitors.Alert`, 0); ``route`` and ``unroutable``
+    carry nothing (the renderer reads the tenant from the trace)."""
+
+    k: int
+    kind: str
+    region: int
+    a: Any = 0
+    b: Any = 0
+
+
+# Where each kind falls within one arrival of the per-arrival loop:
+# every region's idle tick, then the routing outcome, the routed
+# region's scale-up and prewarm, and last the SLO alerts of its serve.
+_SERIAL_STAGE = {"scale-down": 0, "unroutable": 1, "shed": 1, "route": 1,
+                 "scale-up": 2, "prewarm": 3, "alert": 4}
+
+
+def _serial_order(event: FleetEvent) -> Tuple[int, int, int]:
+    return event.k, _SERIAL_STAGE[event.kind], event.region
+
+
+class _SpanLog:
+    """Renders :class:`FleetEvent` s as decision spans, one at a time.
+
+    ``append`` renders at once, so the per-arrival loop passes this
+    object wherever a region step expects an event list."""
+
+    __slots__ = ("spans", "arrivals", "tenants", "tenant_names", "actors",
+                 "policy")
+
+    def __init__(self, spans, config: "FleetConfig",
+                 trace: "FleetTrace") -> None:
+        self.spans = spans
+        self.arrivals = trace.arrivals
+        self.tenants = trace.tenants
+        self.tenant_names = trace.tenant_names
+        self.actors = [f"region:{region.name}" for region in config.regions]
+        self.policy = config.routing.kind
+
+    def append(self, event: FleetEvent) -> None:
+        k, kind, region, a, b = event
+        if kind == "alert":
+            emit_alert_spans(self.spans, (a,))
+            return
+        t = self.arrivals[k]
+        event_span = self.spans.event
+        if kind == "unroutable":
+            event_span("fleet:shed", t, actor="fleet", reason="unroutable",
+                       tenant=self.tenant_names[self.tenants[k]])
+        elif kind == "route":
+            event_span("fleet:route", t, actor=self.actors[region],
+                       policy=self.policy,
+                       tenant=self.tenant_names[self.tenants[k]])
+        elif kind == "shed":
+            event_span("fleet:shed", t, actor=self.actors[region], wait=a)
+        elif kind == "prewarm":
+            event_span("fleet:prewarm", t, actor=self.actors[region],
+                       spawned=a, restores=b)
+        else:
+            event_span(f"fleet:{kind}", t, actor=self.actors[region],
+                       count=a, cap=b)
+
+
+def _settle(stats: "FleetStats", tenant: "TenantStats", k: int, t: float,
+            code: Optional[int], next_latency, monitors, log) -> None:
+    """Account the outcome ``code`` of arrival ``k`` to its tenant and
+    the SLO monitors; ``code`` is None when no region was routable.
+    ``next_latency()`` yields the latency of a completed serve.  Shared
+    by the per-arrival loop and the static path's merge."""
+    tenant.offered += 1
+    if code is None:
+        stats.shed_unroutable += 1
+        tenant.shed += 1
+        if log is not None:
+            log.append(FleetEvent(k, "unroutable", -1))
+        return
+    if code == SHED:
+        tenant.shed += 1
+        return
+    if code == FAILED:
+        tenant.failed += 1
+    else:
+        tenant.latencies.append(next_latency())
+    if monitors is not None:
+        for alert in observe_outcome(monitors, t, code, tenant.latencies):
+            if log is not None:
+                log.append(FleetEvent(k, "alert", -1, alert))
+
 
 class _QueueDepthTracker:
     """Peak number of concurrently queued requests in one region.
@@ -475,39 +545,6 @@ class _QueueDepthTracker:
             heappush(starts, start)
             if len(starts) > self.peak:
                 self.peak = len(starts)
-
-
-def _emit_scale_down(spans, name: str, t: float, count: int,
-                     cap: int) -> None:
-    spans.event("fleet:scale-down", t, actor=f"region:{name}",
-                count=count, cap=cap)
-
-
-def _emit_scale_up(spans, name: str, t: float, count: int,
-                   cap: int) -> None:
-    spans.event("fleet:scale-up", t, actor=f"region:{name}",
-                count=count, cap=cap)
-
-
-def _emit_prewarm(spans, name: str, t: float, spawned: int,
-                  restores: int) -> None:
-    spans.event("fleet:prewarm", t, actor=f"region:{name}",
-                spawned=spawned, restores=restores)
-
-
-def _emit_shed(spans, name: str, t: float, wait: float) -> None:
-    spans.event("fleet:shed", t, actor=f"region:{name}", wait=wait)
-
-
-def _emit_unroutable(spans, t: float, tenant: str) -> None:
-    spans.event("fleet:shed", t, actor="fleet", reason="unroutable",
-                tenant=tenant)
-
-
-def _emit_route(spans, name: str, t: float, policy: str,
-                tenant: str) -> None:
-    spans.event("fleet:route", t, actor=f"region:{name}", policy=policy,
-                tenant=tenant)
 
 
 _REQUESTS_HELP = "Fleet requests by outcome and region"
@@ -591,15 +628,6 @@ def _feed_tenant_metrics(registry, stats: "FleetStats") -> None:
             stats.shed_unroutable, outcome="unroutable", region="-")
 
 
-def _feed_fleet_metrics(registry, stats: "FleetStats", routing_kind: str,
-                        queue_peaks: Optional[Dict[str, int]]) -> None:
-    """Feed a whole fleet replay's metrics (regions + tenants)."""
-    for name, region in stats.regions.items():
-        peak = queue_peaks.get(name) if queue_peaks is not None else None
-        _feed_region_metrics(registry, region, routing_kind, peak)
-    _feed_tenant_metrics(registry, stats)
-
-
 # ----------------------------------------------------------------------
 # Region runtime state
 # ----------------------------------------------------------------------
@@ -612,7 +640,9 @@ class _RegionState:
     when metrics are on, the queue-depth tracker.
 
     Routing reads ``routable`` / ``predicted_wait`` / ``has_warm_idle``;
-    the last two are the pool's own queries.
+    the last two are the pool's own queries.  :meth:`tick` and
+    :meth:`step` are the region sequence, written once: the per-arrival
+    loop and the static path's stepping replay both drive them.
     """
 
     def __init__(self, config: RegionConfig, server: InferenceServer,
@@ -624,6 +654,7 @@ class _RegionState:
                  fabric: Optional[RegistryFabric] = None) -> None:
         self.config = config
         self.policy = policy
+        self.index = region_index
         actor = f"region:{config.name}"
         cold, warm = service_times(server, config.scheme, model, batch)
         injector: Optional[FaultInjector] = (
@@ -668,6 +699,42 @@ class _RegionState:
         drain takes a region out of rotation."""
         return not any(start <= now < end
                        for start, end in self.config.drain_windows)
+
+    def tick(self, k: int, t: float, log) -> None:
+        """The idle tick fleet arrival ``k`` drives in every region,
+        routed here or not (reactive scale-down)."""
+        downs = self.scaler.idle_tick(t)
+        if downs and log is not None:
+            log.append(FleetEvent(k, "scale-down", self.index, downs,
+                                  self.pool.cap))
+
+    def step(self, k: int, t: float, shed_wait: Optional[float],
+             log) -> int:
+        """Arrival ``k`` was routed here: shed check, autoscaler
+        observation, prewarm and serve, in that order.  Returns the
+        outcome code; with a ``log`` it appends each decision."""
+        if shed_wait is not None:
+            wait = self.pool.predicted_wait(t)
+            if wait > shed_wait:
+                self.stats.shed += 1
+                if log is not None:
+                    log.append(FleetEvent(k, "shed", self.index, wait))
+                return SHED
+        if log is not None:
+            log.append(FleetEvent(k, "route", self.index))
+        grew, extra = self.scaler.observe_arrival(t)
+        if grew and log is not None:
+            log.append(FleetEvent(k, "scale-up", self.index, grew,
+                                  self.pool.cap))
+        if extra:
+            spawned, restored = self.pool.prewarm(extra, t)
+            if spawned and log is not None:
+                log.append(FleetEvent(k, "prewarm", self.index, spawned,
+                                      restored))
+        return self.pool.serve(t)
+
+    def last_latency(self) -> float:
+        return self.stats.latencies[-1]
 
 
 # ----------------------------------------------------------------------
@@ -799,7 +866,6 @@ class FleetSimulator:
             else None
         policy = config.autoscale if config.autoscale is not None \
             else AutoscalePolicy()
-        routing_kind = config.routing.kind
         # Region registries for the pack hierarchy: each region's own
         # outage windows, shared so every store can find the first lit
         # remote registry for cross-region failover.
@@ -829,73 +895,24 @@ class FleetSimulator:
         stats = FleetStats(offered=len(trace))
         tenants = [TenantStats(name=name) for name in trace.tenant_names]
         router = RouterState(config.routing)
-        for arrival, tenant_index in zip(trace.arrivals, trace.tenants):
-            tenant = tenants[tenant_index]
-            tenant.offered += 1
-            if spans is None:
-                for region in regions:
-                    region.scaler.idle_tick(arrival)
-            else:
-                for region in regions:
-                    downs = region.stats.scale_downs
-                    region.scaler.idle_tick(arrival)
-                    delta = region.stats.scale_downs - downs
-                    if delta:
-                        _emit_scale_down(spans, region.config.name,
-                                         arrival, delta,
-                                         region.pool.cap)
-            choice = router.choose(regions, arrival)
-            if choice is None:
-                stats.shed_unroutable += 1
-                tenant.shed += 1
-                if spans is not None:
-                    _emit_unroutable(spans, arrival, tenant.name)
-                continue
-            region = regions[choice]
-            if config.shed_wait_s is not None:
-                wait = region.predicted_wait(arrival)
-                if wait > config.shed_wait_s:
-                    region.stats.shed += 1
-                    tenant.shed += 1
-                    if spans is not None:
-                        _emit_shed(spans, region.config.name, arrival,
-                                   wait)
-                    continue
-            if spans is None:
-                extra = region.scaler.observe_arrival(arrival)
-                if extra:
-                    region.pool.prewarm(extra, arrival)
-            else:
-                _emit_route(spans, region.config.name, arrival,
-                            routing_kind, tenant.name)
-                ups = region.stats.scale_ups
-                extra = region.scaler.observe_arrival(arrival)
-                if region.stats.scale_ups > ups:
-                    _emit_scale_up(spans, region.config.name, arrival,
-                                   region.stats.scale_ups - ups,
-                                   region.pool.cap)
-                if extra:
-                    spawned = region.stats.prewarm_spawns
-                    restored = region.stats.prewarm_restores
-                    region.pool.prewarm(extra, arrival)
-                    spawned = region.stats.prewarm_spawns - spawned
-                    if spawned:
-                        _emit_prewarm(
-                            spans, region.config.name, arrival, spawned,
-                            region.stats.prewarm_restores - restored)
-            code = region.pool.serve(arrival)
-            if code == FAILED:
-                tenant.failed += 1
-                fresh = (monitors.observe_failed(arrival)
-                         if monitors is not None else None)
-            else:
-                latency = region.stats.latencies[-1]
-                tenant.latencies.append(latency)
-                fresh = (monitors.observe_completed(arrival, latency,
-                                                    code == COLD)
-                         if monitors is not None else None)
-            if spans is not None and fresh:
-                emit_alert_spans(spans, fresh)
+        shed_wait = config.shed_wait_s
+        # Only reactive scalers act on the idle tick.
+        ticking = regions if policy.kind == "reactive" else ()
+        # Decisions render as they are made, so they keep their place
+        # among the spans the bound trace recorders mirror.
+        log = _SpanLog(spans, config, trace) if spans is not None else None
+        for k, (t, tenant_index) in enumerate(zip(trace.arrivals,
+                                                  trace.tenants)):
+            for region in ticking:
+                region.tick(k, t, log)
+            choice = router.choose(regions, t)
+            code = next_latency = None
+            if choice is not None:
+                region = regions[choice]
+                code = region.step(k, t, shed_wait, log)
+                next_latency = region.last_latency
+            _settle(stats, tenants[tenant_index], k, t, code, next_latency,
+                    monitors, log)
         for region in regions:
             stats.regions[region.config.name] = region.stats
         for tenant in tenants:
@@ -918,5 +935,8 @@ class FleetSimulator:
         loops stay untouched)."""
         if self.metrics is None:
             return
-        _feed_fleet_metrics(self.metrics, stats, self.config.routing.kind,
-                            queue_peaks)
+        for name, region in stats.regions.items():
+            peak = queue_peaks.get(name) if queue_peaks is not None else None
+            _feed_region_metrics(self.metrics, region,
+                                 self.config.routing.kind, peak)
+        _feed_tenant_metrics(self.metrics, stats)

@@ -24,7 +24,8 @@ picked automatically:
   autoscaling with no fault plan replay through the instance pool's
   analytic window (:meth:`~repro.serving.pool.InstancePool.fast_forward`,
   the one the cluster uses, warm floor / restore billing / shedding
-  included), the others through its stepping ``serve``.  The serial
+  included), the others through the region step the per-arrival loop
+  runs (``_RegionState.tick`` / ``step``).  The serial
   ``FleetSimulator`` runs this same per-region replay and merge
   in-process (:func:`_replay_assigned`), so at ``jobs=1`` the two take
   the same time; only ``jobs > 1`` adds parallelism.
@@ -44,32 +45,26 @@ from __future__ import annotations
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.fleet.autoscale import AutoscalePolicy
-from repro.fleet.fleet import (FleetConfig, FleetSimulator, FleetStats,
-                               FleetTrace, RegionConfig, RegionStats,
-                               TenantStats, _QueueDepthTracker,
-                               _RegionState, _emit_prewarm, _emit_route,
-                               _emit_scale_down, _emit_scale_up,
-                               _emit_shed, _emit_unroutable,
-                               _feed_region_metrics, _feed_tenant_metrics,
-                               _server_for)
+from repro.fleet.fleet import (FleetConfig, FleetEvent, FleetSimulator,
+                               FleetStats, FleetTrace, RegionConfig,
+                               RegionStats, TenantStats, _QueueDepthTracker,
+                               _RegionState, _SpanLog, _feed_region_metrics,
+                               _feed_tenant_metrics, _serial_order,
+                               _server_for, _settle)
 from repro.fleet.routing import RouterState
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitors import SLOMonitorSet, emit_alert_spans
-from repro.serving.pool import COLD, FAILED, SHED
+from repro.obs.monitors import SLOMonitorSet
+from repro.serving.pool import SHED
 from repro.serving.requests import RequestTrace, poisson_trace
 from repro.sim.trace import TraceRecorder
 
 __all__ = ["TraceSpec", "ShardReport", "run_fleet_sharded",
            "equivalence_problems"]
-
-# Control-plane event codes a shard logs (as ``(k, code, a, b)`` tuples)
-# when the coordinator needs to replay decision spans.  Only logged when
-# spans are on — the off path appends nothing.
-_EV_SCALE_DOWN, _EV_SCALE_UP, _EV_PREWARM, _EV_SHED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -217,7 +212,7 @@ class _RegionJob:
     assignment: tuple
     # --- telemetry knobs ----------------------------------------------
     collect_metrics: bool = False    # feed a fresh registry, ship a dump
-    want_events: bool = False        # log control-plane event tuples
+    want_events: bool = False        # log the region's FleetEvents
     routing_kind: str = "single"     # the fleet_routed_total policy label
     analytic: bool = False           # eligible regions: the pool window
 
@@ -231,79 +226,32 @@ class _RegionResult:
     outcomes: bytes
     wall_s: float
     metrics: Optional[dict] = None   # per-shard MetricsRegistry dump
-    events: Optional[list] = None    # (k, code, a, b) control-plane log
+    events: Optional[List[FleetEvent]] = None
 
 
 def _job_trace(job: _RegionJob) -> FleetTrace:
     return job.trace if job.trace is not None else job.spec.materialize()
 
 
-def _serve_one(state: _RegionState, t: float, shed_wait: Optional[float],
-               append, k: int, events: Optional[list]) -> None:
-    """The serial per-arrival sequence for the routed region: shed
-    check, autoscaler observation, pre-warm, serve — in that order —
-    appending the arrival's outcome code.  When ``events`` is a list it
-    also logs the control-plane deltas the coordinator replays into
-    decision spans.  Deltas are detected exactly the way the serial
-    loop detects them, and the values keep their Python types so
-    replayed span attrs compare byte-equal."""
-    stats = state.stats
-    if shed_wait is not None:
-        wait = state.predicted_wait(t)
-        if wait > shed_wait:
-            stats.shed += 1
-            append(SHED)
-            if events is not None:
-                events.append((k, _EV_SHED, wait, 0))
-            return
-    pool = state.pool
-    if events is None:
-        extra = state.scaler.observe_arrival(t)
-        if extra:
-            pool.prewarm(extra, t)
-    else:
-        ups = stats.scale_ups
-        extra = state.scaler.observe_arrival(t)
-        if stats.scale_ups > ups:
-            events.append((k, _EV_SCALE_UP, stats.scale_ups - ups,
-                           pool.cap))
-        if extra:
-            spawned = stats.prewarm_spawns
-            restored = stats.prewarm_restores
-            pool.prewarm(extra, t)
-            spawned = stats.prewarm_spawns - spawned
-            if spawned:
-                events.append((k, _EV_PREWARM, spawned,
-                               stats.prewarm_restores - restored))
-    append(pool.serve(t))
-
-
 def _serve_stepping(state: _RegionState, arrivals, job: _RegionJob,
                     outcomes, events: Optional[list] = None) -> None:
+    """Drive the region sequence over the shard's assigned arrivals,
+    appending one outcome code per routed arrival."""
     mine = job.region_index
     shed_wait = job.shed_wait_s
     append = outcomes.append
+    step = state.step
     if state.policy.kind == "reactive":
         # Reactive capacity breathes on *global* quiet time: the scaler
         # ticks at every fleet arrival, routed here or not.
         member = _membership(job.assignment)
-        scaler = state.scaler
-        stats = state.stats
         for k, t in enumerate(arrivals):
-            if events is None:
-                scaler.idle_tick(t)
-            else:
-                downs = stats.scale_downs
-                scaler.idle_tick(t)
-                if stats.scale_downs > downs:
-                    events.append((k, _EV_SCALE_DOWN,
-                                   stats.scale_downs - downs,
-                                   state.pool.cap))
+            state.tick(k, t, events)
             if member(k) == mine:
-                _serve_one(state, t, shed_wait, append, k, events)
+                append(step(k, t, shed_wait, events))
     else:
         for k in _assigned(job.assignment, mine, len(arrivals)):
-            _serve_one(state, arrivals[k], shed_wait, append, k, events)
+            append(step(k, arrivals[k], shed_wait, events))
 
 
 def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
@@ -314,7 +262,8 @@ def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
     region = job.config
     state = _RegionState(region, _server_for(region.device, servers),
                          job.policy, trace.model, trace.batch,
-                         job.retention, job.ring)
+                         job.retention, job.ring,
+                         region_index=job.region_index)
     pool = state.pool
     if job.collect_metrics:
         pool.queue_depth = _QueueDepthTracker()
@@ -335,9 +284,14 @@ def _finalize_region(job: _RegionJob, servers=None) -> _RegionResult:
             mine = [arrivals[k] for k in indices]
         sheds: Optional[list] = [] if events is not None else None
         pool.fast_forward(mine, job.shed_wait_s, outcomes, sheds)
-        if sheds:
-            events.extend((indices[pos], _EV_SHED, wait, 0)
-                          for pos, wait in sheds)
+        if events is not None:
+            # The window decides only shed or route per arrival.
+            waits = (wait for _, wait in sheds)
+            i = job.region_index
+            events.extend(
+                FleetEvent(k, "shed", i, next(waits)) if code == SHED
+                else FleetEvent(k, "route", i)
+                for k, code in zip(indices, outcomes))
     else:
         _serve_stepping(state, arrivals, job, outcomes, events)
     wall = perf_counter() - began
@@ -366,13 +320,12 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
     """Deterministic merge: rebuild the serial FleetStats from shard
     outputs, walking tenants in global arrival order.
 
-    With ``spans`` the walk also replays the shards' recorded
-    control-plane event tuples — interleaved with the route /
-    unroutable decisions only the coordinator sees — in the exact
-    order the serial loop emits them, so the sharded span list is
-    byte-identical to the serial one.  With ``monitors`` it feeds the
-    SLO monitor set from the detailed outcome codes and the merged
-    latency stream (again the serial observation order)."""
+    The walk settles each arrival exactly as the per-arrival loop does
+    (:func:`~repro.fleet.fleet._settle`), feeding ``monitors`` in serial
+    observation order.  With ``spans`` it logs the unroutable and alert
+    events only the coordinator sees, then renders them together with
+    the shards' event logs in the per-arrival loop's order, so the span
+    list is byte-identical to the per-arrival one."""
     stats = FleetStats(offered=len(trace))
     for region, result in zip(config.regions, results):
         region_stats = result.stats
@@ -400,69 +353,24 @@ def _merge(config: FleetConfig, trace: FleetTrace, assignment,
     else:
         member = _membership(assignment)
         outcome_iters = [iter(r.outcomes) for r in results]
-        latency_iters = [iter(r.stats.latencies) for r in results]
+        latency_getters = [iter(r.stats.latencies).__next__
+                           for r in results]
         arrivals = trace.arrivals
-        names = [region.name for region in config.regions]
-        routing_kind = config.routing.kind
-        events = [r.events if r.events is not None else []
-                  for r in results]
-        positions = [0] * len(results)
+        log: Optional[List[FleetEvent]] = [] if spans is not None else None
         for k, tenant_index in enumerate(trace.tenants):
-            tenant = tenants[tenant_index]
-            tenant.offered += 1
-            t = arrivals[k]
-            if spans is not None:
-                # Serial order: every region's idle tick fires before
-                # the routing decision, in region order.
-                for i, name in enumerate(names):
-                    log, p = events[i], positions[i]
-                    if (p < len(log) and log[p][0] == k
-                            and log[p][1] == _EV_SCALE_DOWN):
-                        _emit_scale_down(spans, name, t, log[p][2],
-                                         log[p][3])
-                        positions[i] = p + 1
-            code = member(k)
-            if code < 0:
-                stats.shed_unroutable += 1
-                tenant.shed += 1
-                if spans is not None:
-                    _emit_unroutable(spans, t, tenant.name)
-                continue
-            outcome = next(outcome_iters[code])
-            if outcome == SHED:
-                tenant.shed += 1
-                if spans is not None:
-                    log, p = events[code], positions[code]
-                    _emit_shed(spans, names[code], t, log[p][2])
-                    positions[code] = p + 1
-                continue
-            if spans is not None:
-                _emit_route(spans, names[code], t, routing_kind,
-                            tenant.name)
-                log, p = events[code], positions[code]
-                if (p < len(log) and log[p][0] == k
-                        and log[p][1] == _EV_SCALE_UP):
-                    _emit_scale_up(spans, names[code], t, log[p][2],
-                                   log[p][3])
-                    p += 1
-                if (p < len(log) and log[p][0] == k
-                        and log[p][1] == _EV_PREWARM):
-                    _emit_prewarm(spans, names[code], t, log[p][2],
-                                  log[p][3])
-                    p += 1
-                positions[code] = p
-            if outcome == FAILED:
-                tenant.failed += 1
-                fresh = (monitors.observe_failed(t)
-                         if monitors is not None else None)
+            r = member(k)
+            if r < 0:
+                code = next_latency = None
             else:
-                latency = next(latency_iters[code])
-                tenant.latencies.append(latency)
-                fresh = (monitors.observe_completed(
-                    t, latency, outcome == COLD)
-                    if monitors is not None else None)
-            if spans is not None and fresh:
-                emit_alert_spans(spans, fresh)
+                code = next(outcome_iters[r])
+                next_latency = latency_getters[r]
+            _settle(stats, tenants[tenant_index], k, arrivals[k], code,
+                    next_latency, monitors, log)
+        if spans is not None:
+            render = _SpanLog(spans, config, trace).append
+            for event in sorted(chain(log, *(r.events for r in results)),
+                                key=_serial_order):
+                render(event)
     for tenant in tenants:
         stats.tenants[tenant.name] = tenant
     return stats
@@ -529,7 +437,7 @@ def run_fleet_sharded(config: FleetConfig,
     ``spans`` / ``slo`` produce dumps, span lists and monitor
     summaries byte-identical to a serial run with the same sinks
     (workers feed fresh per-shard registries whose dumps merge
-    associatively; control-plane spans replay on the coordinator).
+    associatively; the coordinator renders the shards' event logs).
     """
     began = perf_counter()
     # Validates config combinations; also the delegated/serial runner.

@@ -55,14 +55,14 @@ class SLOPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.availability_target < 1.0:
             raise ValueError("availability_target must be in (0, 1)")
-        if self.p99_target_s is not None and self.p99_target_s <= 0:
+        if self.p99_target_s is not None and not self.p99_target_s > 0:
             raise ValueError("p99_target_s must be positive")
         if (self.cold_rate_target is not None
                 and not 0.0 <= self.cold_rate_target < 1.0):
             raise ValueError("cold_rate_target must be in [0, 1)")
-        if self.window_s <= 0:
+        if not self.window_s > 0:
             raise ValueError("window_s must be positive")
-        if self.burn_threshold <= 0:
+        if not self.burn_threshold > 0:
             raise ValueError("burn_threshold must be positive")
 
 
@@ -168,7 +168,8 @@ class _P99Monitor(_Monitor):
 
 class _ColdRateMonitor(_Monitor):
     """Fraction of completed serves in the window that paid a cold
-    start (restores — the mitigation — do not count)."""
+    start (checkpoint and pack restores — the mitigation — do not
+    count)."""
 
     __slots__ = ("_events", "_cold")
 
@@ -269,10 +270,9 @@ class SLOMonitorSet:
 def emit_alert_spans(spans, alerts: List[Alert]) -> None:
     """Mirror alerts into zero-duration ``alert``-category spans.
 
-    One shared emitter keeps the span arguments identical wherever the
-    monitors run (serial fleet loop, cluster stepping loop, sharded
-    merge replay) — that is what makes the sharded span stream
-    byte-identical to serial.
+    The one alert emitter: the cluster stepping loop calls it directly,
+    and the fleet's event renderer calls it for every alert event, so
+    alert spans are identical on every replay path.
     """
     for alert in alerts:
         spans.event(f"slo:{alert.monitor}", alert.t, actor="slo",

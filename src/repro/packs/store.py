@@ -54,11 +54,13 @@ class TierPolicy:
     backoff_base_s: float = 500e-6  # doubles per retry
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
+        if not self.bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
         for name in ("latency_s", "timeout_s", "backoff_base_s"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not isinstance(self.max_attempts, int):
+            raise ValueError("max_attempts must be an integer")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
@@ -91,11 +93,11 @@ class PackPolicy:
 
     def __post_init__(self) -> None:
         for name in ("verify_bps", "apply_bps"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.apply_overhead_s < 0:
+        if not self.apply_overhead_s >= 0:
             raise ValueError("apply_overhead_s must be non-negative")
-        if self.cross_region_penalty < 1.0:
+        if not self.cross_region_penalty >= 1.0:
             raise ValueError("cross_region_penalty must be >= 1")
 
     def tier(self, name: str) -> TierPolicy:

@@ -172,9 +172,10 @@ def profile_fleet(device: str = "MI100", model: str = "res",
     :class:`~repro.fleet.parallel.TraceSpec` — workers regenerate the
     arrivals locally, which is what keeps 1e7–1e8-request profiles from
     pickling the stream.  With ``compare_serial`` the identical trace is
-    also replayed through the serial ``FleetSimulator`` (timed first, so
-    service-time memos are equally warm for both) and the profile's
-    ``speedup`` reports serial/sharded wall.
+    also replayed through the serial ``FleetSimulator`` and the
+    profile's ``speedup`` reports serial/sharded wall.  One untimed
+    replay runs before both timed legs, so both find the service-time
+    memos filled and equal code reports 1.0x.
     """
     if requests <= 0:
         raise ValueError("requests must be positive")
@@ -199,6 +200,7 @@ def profile_fleet(device: str = "MI100", model: str = "res",
     trace = spec.materialize()
     serial_wall = 0.0
     if compare_serial:
+        FleetSimulator(config).run(trace)   # untimed warm-up
         began = perf_counter()
         FleetSimulator(config).run(trace)
         serial_wall = perf_counter() - began

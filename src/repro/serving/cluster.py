@@ -23,8 +23,7 @@ from repro.packs.artifact import pack_for
 from repro.packs.store import (PackPolicy, PackStoreState,
                                PackTransferCounters, feed_pack_metrics)
 from repro.serving.metrics import percentile as nearest_rank_percentile
-from repro.serving.pool import (FAILED, SHED, WARM, InstancePool,
-                                service_times)
+from repro.serving.pool import InstancePool, observe_outcome, service_times
 from repro.serving.requests import RequestTrace
 from repro.serving.resilience import ResiliencePolicy, ResilienceState
 from repro.serving.server import InferenceServer
@@ -92,6 +91,8 @@ class ClusterConfig:
             raise ValueError(
                 f"unknown trace retention {self.trace_retention!r}; "
                 f"expected None or one of {RETENTION_POLICIES}")
+        if not isinstance(self.trace_ring, int):
+            raise ValueError("trace_ring must be an integer")
         if self.trace_ring <= 0:
             raise ValueError("trace_ring must be positive")
 
@@ -310,12 +311,9 @@ class ClusterSimulator:
             arrival = arrivals[index]
             index += 1
             code = pool.serve(arrival)
-            if monitors is not None and code != SHED:
-                if code == FAILED:
-                    fresh = monitors.observe_failed(arrival)
-                else:
-                    fresh = monitors.observe_completed(
-                        arrival, stats.latencies[-1], code != WARM)
+            if monitors is not None:
+                fresh = observe_outcome(monitors, arrival, code,
+                                        stats.latencies)
                 if fresh and self.spans is not None:
                     emit_alert_spans(self.spans, fresh)
         if self.metrics is not None:

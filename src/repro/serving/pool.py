@@ -35,13 +35,28 @@ from weakref import WeakKeyDictionary
 from repro.serving.resilience import ResilienceState
 from repro.sim.trace import Phase
 
-__all__ = ["InstancePool", "service_times", "WARM", "FAILED", "SHED",
-           "COLD", "RESTORE", "PACK"]
+__all__ = ["InstancePool", "service_times", "observe_outcome", "WARM",
+           "FAILED", "SHED", "COLD", "RESTORE", "PACK"]
 
 # Outcome of one arrival.  A fleet shard reports an array of them back
 # for tenant accounting and SLO replay; WARM must stay 0 (the analytic
 # window appends runs of warm hits as zero bytes).
 WARM, FAILED, SHED, COLD, RESTORE, PACK = 0, 1, 2, 3, 4, 5
+
+
+def observe_outcome(monitors, t: float, code: int, latencies) -> list:
+    """Feed the outcome ``code`` of the arrival at ``t`` to ``monitors``
+    (an :class:`~repro.obs.monitors.SLOMonitorSet`) and return the alerts
+    it raised.  A shed is not observed and a failure counts against
+    availability.  A completed serve, whose latency is the last entry of
+    ``latencies``, counts as cold only when it paid a full cold start:
+    checkpoint and pack restores are the mitigation, not a cold start.
+    """
+    if code == SHED:
+        return []
+    if code == FAILED:
+        return monitors.observe_failed(t)
+    return monitors.observe_completed(t, latencies[-1], code == COLD)
 
 
 @dataclass
@@ -176,14 +191,16 @@ class InstancePool:
 
     # -- off-path spawns -----------------------------------------------
 
-    def prewarm(self, count: int, now: float) -> None:
+    def prewarm(self, count: int, now: float) -> Tuple[int, int]:
         """Spawn ``count`` instances off the request path.  The owner
         (not any request) pays the spin-up — the full cold-start extra,
         the checkpoint restore cost when one exists, or the pack ladder
         — and the instance joins the pool warm, busy until the spin-up
-        ends."""
+        ends.  Returns ``(spawned, restored)``: the instances the cap
+        let through, and how many of them came from a checkpoint."""
         stats = self.stats
         pack_state = self.pack_state
+        spawned = restored = 0
         for _ in range(count):
             if len(self.instances) >= self.cap:
                 break
@@ -207,13 +224,16 @@ class InstancePool:
                                             last_used=now + cost,
                                             warm=True))
             self.ever_warm = True
+            spawned += 1
             stats.prewarm_spawns += 1
             stats.prewarm_s += cost
             if from_checkpoint:
+                restored += 1
                 stats.prewarm_restores += 1
             if self.recorder is not None:
                 self.recorder.record(now, now + cost, self.actor,
                                      Phase.LOAD, "prewarm")
+        return spawned, restored
 
     # -- the stepping dynamics -----------------------------------------
 

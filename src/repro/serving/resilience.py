@@ -96,6 +96,11 @@ class ResiliencePolicy:
                      "breaker_backoff"):
             if not getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("checkpoint_retention", "breaker_threshold",
+                     "max_queue_depth", "recycle_after_requests"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
         if self.checkpoint_retention < 1:
             raise ValueError("checkpoint_retention must be >= 1")
         if self.breaker_threshold is not None and self.breaker_threshold < 1:

@@ -159,6 +159,8 @@ class FaultPlan:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         for name in ("max_load_attempts", "max_launch_attempts"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("load_backoff_base_s", "exec_stall_s",

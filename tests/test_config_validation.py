@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fleet import AutoscalePolicy, FleetConfig, RegionConfig
+from repro.obs import SLOPolicy
+from repro.packs import PackPolicy, TierPolicy
 from repro.serving.cluster import ClusterConfig
 from repro.serving.resilience import ResiliencePolicy
 from repro.sim.faults import FaultPlan
@@ -24,6 +26,12 @@ INF = float("inf")
 
 def _fleet(**kwargs):
     return FleetConfig(regions=(RegionConfig("r0"),), **kwargs)
+
+
+def _tier(**kwargs):
+    fields = dict(bandwidth_bps=1e9, latency_s=1e-3, timeout_s=0.25)
+    fields.update(kwargs)
+    return TierPolicy(**fields)
 
 
 @pytest.mark.parametrize("build", [
@@ -47,6 +55,18 @@ def _fleet(**kwargs):
     lambda: ResiliencePolicy(restore_overhead_s=NAN),
     lambda: ResiliencePolicy(restart_backoff=NAN),
     lambda: ResiliencePolicy(shed_wait_s=NAN),
+    lambda: ResiliencePolicy(checkpoint_retention=1.5),
+    lambda: PackPolicy(verify_bps=NAN),
+    lambda: PackPolicy(apply_overhead_s=NAN),
+    lambda: PackPolicy(apply_bps=NAN),
+    lambda: PackPolicy(cross_region_penalty=NAN),
+    lambda: _tier(bandwidth_bps=NAN),
+    lambda: _tier(max_attempts=1.5),
+    lambda: SLOPolicy(window_s=NAN),
+    lambda: SLOPolicy(p99_target_s=NAN),
+    lambda: ClusterConfig(trace_ring=0.5),
+    lambda: _fleet(trace_ring=0.5),
+    lambda: FaultPlan(max_load_attempts=2.5),
 ], ids=["cluster-keep-alive-nan", "cluster-max-instances-2.5",
         "region-keep-alive-nan", "region-max-instances-2.5",
         "region-drain-window-nan", "autoscale-idle-timeout-nan",
@@ -57,7 +77,12 @@ def _fleet(**kwargs):
         "faults-outage-window-nan", "fleet-shed-wait-nan",
         "resilience-checkpoint-interval-nan",
         "resilience-restore-overhead-nan", "resilience-backoff-nan",
-        "resilience-shed-wait-nan"])
+        "resilience-shed-wait-nan", "resilience-retention-1.5",
+        "packs-verify-bps-nan", "packs-apply-overhead-nan",
+        "packs-apply-bps-nan", "packs-cross-region-nan",
+        "tier-bandwidth-nan", "tier-max-attempts-1.5", "slo-window-nan",
+        "slo-p99-target-nan", "cluster-trace-ring-0.5",
+        "fleet-trace-ring-0.5", "faults-max-load-attempts-2.5"])
 def test_constructor_rejects(build):
     with pytest.raises(ValueError):
         build()
@@ -91,6 +116,19 @@ _FLOAT_FIELDS = [
     (lambda v: _fleet(shed_wait_s=v), "shed_wait_s", 0.0, False),
     (lambda v: ResiliencePolicy(breaker_window_s=v), "breaker_window_s", 0.0,
      False),
+    (lambda v: _tier(bandwidth_bps=v), "bandwidth_bps", 0.0, True),
+    (lambda v: _tier(latency_s=v), "latency_s", 0.0, False),
+    (lambda v: _tier(timeout_s=v), "timeout_s", 0.0, False),
+    (lambda v: _tier(backoff_base_s=v), "backoff_base_s", 0.0, False),
+    (lambda v: PackPolicy(verify_bps=v), "verify_bps", 0.0, True),
+    (lambda v: PackPolicy(apply_overhead_s=v), "apply_overhead_s", 0.0,
+     False),
+    (lambda v: PackPolicy(apply_bps=v), "apply_bps", 0.0, True),
+    (lambda v: PackPolicy(cross_region_penalty=v), "cross_region_penalty",
+     1.0, False),
+    (lambda v: SLOPolicy(p99_target_s=v), "p99_target_s", 0.0, True),
+    (lambda v: SLOPolicy(window_s=v), "window_s", 0.0, True),
+    (lambda v: SLOPolicy(burn_threshold=v), "burn_threshold", 0.0, True),
 ]
 
 _COUNT_FIELDS = [
@@ -98,6 +136,12 @@ _COUNT_FIELDS = [
     (lambda v: RegionConfig("r0", max_instances=v), "max_instances", 1),
     (lambda v: AutoscalePolicy(min_instances=v), "min_instances", 0),
     (lambda v: FaultPlan(max_reroutes=v), "max_reroutes", 0),
+    (lambda v: FaultPlan(max_load_attempts=v), "max_load_attempts", 1),
+    (lambda v: ClusterConfig(trace_ring=v), "trace_ring", 1),
+    (lambda v: _fleet(trace_ring=v), "trace_ring", 1),
+    (lambda v: ResiliencePolicy(checkpoint_retention=v),
+     "checkpoint_retention", 1),
+    (lambda v: _tier(max_attempts=v), "max_attempts", 1),
 ]
 
 

@@ -14,6 +14,7 @@ Two contracts are pinned here:
 """
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,11 +23,14 @@ from repro.cli import main
 from repro.core.schemes import Scheme
 from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                          RegionConfig, RoutingPolicy, equivalence_problems,
-                         run_fleet_sharded)
+                         merge_traces, run_fleet_sharded)
 from repro.fleet.fleet import _QueueDepthTracker
+from repro.fleet.parallel import _static_assignment
 from repro.obs import (MetricsRegistry, SLOMonitorSet, SLOPolicy,
                        SpanRecorder, validate_dump, validate_monitors)
+from repro.packs import PackPolicy
 from repro.serving.requests import RequestTrace, poisson_trace
+from repro.sim.faults import FaultPlan
 
 _SLO = SLOPolicy(availability_target=0.999, p99_target_s=1.0,
                  cold_rate_target=0.5, window_s=2.0)
@@ -223,7 +227,150 @@ class TestNoPerturbationProperty:
         assert equivalence_problems(plain, sharded) == []
 
 
+_STATIC_AUTOSCALE = (
+    None,
+    AutoscalePolicy(kind="fixed", min_instances=1),
+    AutoscalePolicy(kind="scale-to-zero", idle_timeout_s=0.05),
+    AutoscalePolicy(kind="reactive", min_instances=1,
+                    scale_up_wait_s=0.0005, scale_down_idle_s=0.02),
+    AutoscalePolicy(kind="predictive", prewarm_headroom=50.0,
+                    idle_timeout_s=0.05, prewarm_cooldown_s=0.1),
+)
+
+
+@st.composite
+def _static_fleet_cases(draw, autoscale=None):
+    """State-free fleets: round-robin over 2-3 regions, each with
+    optional drains and crashes, under ``autoscale``, with optional
+    shedding and 1-2 tenants."""
+    regions = []
+    for i in range(draw(st.integers(2, 3))):
+        drains = draw(st.sampled_from(((), ((0.3, 0.8),), ((0.0, 0.4),))))
+        faults = draw(st.one_of(
+            st.none(), st.builds(FaultPlan, seed=st.integers(0, 9),
+                                 crash_rate=st.just(0.2),
+                                 max_reroutes=st.just(0))))
+        regions.append(RegionConfig(name=f"r{i}", device="MI100",
+                                    scheme=Scheme.PASK,
+                                    max_instances=draw(st.integers(1, 4)),
+                                    keep_alive_s=0.1, faults=faults,
+                                    drain_windows=drains))
+    config = FleetConfig(
+        regions=tuple(regions), routing=RoutingPolicy("round-robin"),
+        autoscale=autoscale,
+        shed_wait_s=draw(st.sampled_from((None, 0.002, 0.02))))
+    named = [(f"tenant-{i}", _trace(rate=draw(st.floats(20.0, 120.0)),
+                                    duration=1.0,
+                                    seed=draw(st.integers(0, 99))))
+             for i in range(draw(st.integers(1, 2)))]
+    return config, merge_traces(named)
+
+
+def _replay_all_sinks(config, trace):
+    spans, metrics = SpanRecorder(), MetricsRegistry()
+    stats = FleetSimulator(config, metrics=metrics, spans=spans,
+                           slo=_SLO).run(trace)
+    return stats, list(spans), metrics.to_json()
+
+
+class TestStaticPathMatchesPerArrivalOracle:
+    @pytest.mark.parametrize("autoscale", _STATIC_AUTOSCALE,
+                             ids=["none", "fixed", "scale-to-zero",
+                                  "reactive", "predictive"])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_spans_metrics_monitors_match_oracle(self, autoscale, data):
+        config, trace = data.draw(_static_fleet_cases(autoscale))
+        assert _static_assignment(config, trace) is not None
+        static, static_spans, static_metrics = _replay_all_sinks(config,
+                                                                 trace)
+        oracle, oracle_spans, oracle_metrics = _replay_all_sinks(
+            dataclasses.replace(config, fast_forward=False), trace)
+        assert oracle.fast_forwarded == 0
+        assert [p for p in equivalence_problems(oracle, static)
+                if ".fast_forwarded:" not in p] == []
+        assert static_spans == oracle_spans
+        assert static_metrics == oracle_metrics
+        assert static.monitors == oracle.monitors
+
+    def test_per_arrival_spans_interleave_with_trace_records(self):
+        # Spans plus trace retention keep the per-arrival loop, where
+        # each decision span must sit between the trace records its
+        # arrival produces: route, then the prewarm loads and their
+        # decision span, then the serve, then any alert.
+        config = FleetConfig(
+            regions=(RegionConfig(name="a", device="MI100",
+                                  scheme=Scheme.PASK, max_instances=4),
+                     RegionConfig(name="b", device="A100",
+                                  scheme=Scheme.PASK, max_instances=4)),
+            routing=RoutingPolicy("round-robin"),
+            autoscale=AutoscalePolicy(kind="predictive",
+                                      prewarm_headroom=20.0,
+                                      idle_timeout_s=0.05,
+                                      prewarm_cooldown_s=0.2),
+            trace_retention="full")
+        spans = SpanRecorder()
+        slo = SLOPolicy(p99_target_s=0.005, cold_rate_target=0.2,
+                        window_s=0.5)
+        FleetSimulator(config, spans=spans, slo=slo).run(_trace())
+        recorded = list(spans)
+        assert [s.span_id for s in recorded] == list(
+            range(1, len(recorded) + 1))
+        tokens = []
+        for span in recorded:
+            if span.name == "fleet:route":
+                tokens.append("R")
+            elif span.name == "fleet:prewarm":
+                tokens.append("P")
+            elif span.category == "alert":
+                tokens.append("A")
+            elif span.name == "prewarm":
+                tokens.append("L")
+            else:
+                assert span.category in ("load", "exec"), span
+                tokens.append("S")
+        assert "P" in tokens and "A" in tokens
+        starts = [i for i, token in enumerate(tokens) if token == "R"]
+        assert starts[0] == 0
+        for begin, end in zip(starts, starts[1:] + [len(tokens)]):
+            segment = "".join(tokens[begin:end])
+            match = re.fullmatch(r"R(?:(L+)P)?S+A*", segment)
+            assert match, segment
+            route = recorded[begin]
+            body = len(segment.rstrip("A"))
+            for span in recorded[begin + 1:begin + body]:
+                assert span.actor == route.actor
+                assert span.start >= route.start
+            if match.group(1):
+                loads = len(match.group(1))
+                for span in recorded[begin + 1:begin + 2 + loads]:
+                    assert span.start == route.start
+                prewarm = recorded[begin + 1 + loads]
+                assert dict(prewarm.attrs)["spawned"] == loads
+
+
 class TestSLOMonitors:
+    def test_cold_rate_ignores_pack_restores_on_every_path(self):
+        # A lone-region fleet without shedding delegates to the cluster
+        # loop; a shed bound that never fires keeps the fleet's own
+        # per-arrival loop.  Both must count only full cold starts.
+        def replay(**kwargs):
+            config = FleetConfig(
+                regions=(RegionConfig("r0", device="MI100",
+                                      scheme=Scheme.PASK, max_instances=2,
+                                      keep_alive_s=0.05),),
+                packs=PackPolicy(), **kwargs)
+            return FleetSimulator(
+                config, slo=SLOPolicy(cold_rate_target=0.05)).run(
+                    poisson_trace("res", 25, 8, seed=3))
+        delegated = replay()
+        stepped = replay(shed_wait_s=1e9)
+        assert delegated.delegated and not stepped.delegated
+        assert delegated.cold_starts == 0
+        assert delegated.pack_restores > 0
+        assert delegated.monitors == stepped.monitors
+        assert delegated.monitors["monitors"]["cold-rate"]["fired"] == 0
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SLOPolicy(availability_target=1.5)
