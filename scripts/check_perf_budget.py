@@ -7,18 +7,28 @@ Usage::
     python scripts/check_perf_budget.py benchmarks/replay_scaling_budget.json
     python scripts/check_perf_budget.py benchmarks/pack_transfer_budget.json
 
-Runs the replay profile for every entry in the budget file — a cluster
-replay (``repro.runner.profile_cluster``) by default, a sharded fleet
-replay (``repro.runner.profile_fleet``) when the entry says ``"kind":
-"fleet"``, the kernel-pack spin-up comparison
-(``repro.runner.profile_packs``, gated on its pack-restore leg) when it
-says ``"kind": "packs"``, or the 12-model x 6-scheme MI100 cold-serve
-grid with one ``breakdown()`` per serve (so the trace fold is gated
-too) when it says ``"kind": "cold-serve"`` — taking the best of
-``repeats`` runs, and fails if any measurement exceeds
-``regression_factor`` times its ``budget_s``.  An entry with an unrecognized ``kind`` is a hard error
-(exit 2) before anything is measured, so a typo can't silently fall
-back to the cluster profile.  Budgets are deliberately loose (~4x a
+Runs the replay profile for every entry in the budget file, taking the
+best of ``repeats`` runs, and fails if any measurement exceeds
+``regression_factor`` times its ``budget_s``.  An entry's ``kind``
+picks what is measured; every entry needs ``name`` and ``budget_s``,
+and the other keys each kind takes are (required / optional):
+
+- ``cluster`` (the default) — a cluster replay
+  (``repro.runner.profile_cluster``): ``requests``, ``trace_retention``,
+  ``fast_forward`` / ``rate_hz``.
+- ``fleet`` — a sharded fleet replay (``repro.runner.profile_fleet``):
+  ``requests`` / ``rate_hz``, ``regions``, ``jobs``, ``routing``.
+- ``packs`` — the kernel-pack spin-up comparison
+  (``repro.runner.profile_packs``, gated on its pack-restore leg):
+  ``requests`` / ``rate_hz``, ``instances``, ``idle_timeout_s``.
+- ``cold-serve`` — the 12-model x 6-scheme MI100 cold-serve grid with
+  one ``breakdown()`` per serve, so the trace fold is gated too: no
+  other keys.
+
+An entry's ``rate_hz`` overrides the file-level ``rate_hz``.  An
+unrecognized ``kind``, an unknown key or a missing required key is a
+hard error (exit 2) before anything is measured, so a typo can't
+silently time the wrong thing.  Budgets are deliberately loose (~4x a
 warm local run), so the gate only trips on a genuine hot-path
 regression — not on a noisy shared runner.  Used by the CI perf-smoke
 job; run it locally after touching ``repro/sim/trace.py``,
@@ -38,7 +48,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.runner import (profile_cluster, profile_fleet,  # noqa: E402
                           profile_packs)
 
-KNOWN_KINDS = ("cluster", "fleet", "packs", "cold-serve")
+# kind -> (required keys, optional keys), beyond the ``name``,
+# ``budget_s`` and ``kind`` every entry takes.
+KIND_KEYS = {
+    "cluster": ({"requests", "trace_retention", "fast_forward"},
+                {"rate_hz"}),
+    "fleet": ({"requests"}, {"rate_hz", "regions", "jobs", "routing"}),
+    "packs": ({"requests"}, {"rate_hz", "instances", "idle_timeout_s"}),
+    "cold-serve": (set(), set()),
+}
+KNOWN_KINDS = tuple(KIND_KEYS)
 
 
 def _cold_serve_grid():
@@ -64,21 +83,34 @@ def _cold_serve_grid():
                            requests=len(cells), records=records)
 
 
+def _key_problems(entries):
+    """One line per unknown or missing key, naming entry and key."""
+    problems = []
+    for index, entry in enumerate(entries):
+        required, optional = KIND_KEYS[entry.get("kind", "cluster")]
+        required = required | {"name", "budget_s"}
+        label = f"entry {entry.get('name', f'#{index}')!r}"
+        for key in sorted(required - set(entry)):
+            problems.append(f"{label}: missing key {key!r}")
+        for key in sorted(set(entry) - required - optional - {"kind"}):
+            problems.append(f"{label}: unknown key {key!r}")
+    return problems
+
+
 def _measure(entry, rate_hz):
     kind = entry.get("kind", "cluster")
+    rate_hz = entry.get("rate_hz", rate_hz)
     if kind == "cold-serve":
         return _cold_serve_grid()
     if kind == "fleet":
         return profile_fleet(
-            requests=entry["requests"],
-            rate_hz=entry.get("rate_hz", rate_hz),
+            requests=entry["requests"], rate_hz=rate_hz,
             regions=entry.get("regions", 4),
             jobs=entry.get("jobs", 1),
             routing=entry.get("routing", "round-robin"))
     if kind == "packs":
         return profile_packs(
-            requests=entry["requests"],
-            rate_hz=entry.get("rate_hz", rate_hz),
+            requests=entry["requests"], rate_hz=rate_hz,
             instances=entry.get("instances", 2),
             idle_timeout_s=entry.get("idle_timeout_s", 0.05))
     return profile_cluster(
@@ -118,6 +150,11 @@ def main(argv):
     if bad:
         print(f"unknown budget entry kind(s) {bad}; expected one of "
               f"{list(KNOWN_KINDS)}", file=sys.stderr)
+        return 2
+    problems = _key_problems(budget["entries"])
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
         return 2
     factor = budget.get("regression_factor", 2.0)
     repeats = budget.get("repeats", 3)

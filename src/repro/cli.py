@@ -17,7 +17,9 @@ Commands
   and instance crash/restart churn during a trace replay.
   ``--resilience`` runs the curated chaos comparison instead (crash-
   heavy and overload scenarios without/with the resilience policy),
-  gated on availability and p99.
+  gated on availability and p99; ``--packs`` runs the kernel-pack
+  degradation ladder.  These and ``fleet --frontier`` are the
+  comparison reports of :mod:`repro.runner.reports`.
 - ``bench`` — run a curated benchmark grid through the parallel engine
   (``--jobs``) with the on-disk result cache, emit a machine-readable
   ``BENCH_<timestamp>.json`` and optionally gate against a baseline.
@@ -247,12 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["MI100", "A100", "6900XT"])
     chaos.add_argument("--timeline", action="store_true",
                        help="render the faulted cold start as a Gantt")
-    chaos.add_argument("--resilience", action="store_true",
+    group = chaos.add_mutually_exclusive_group()
+    group.add_argument("--resilience", action="store_true",
                        help="run the curated chaos comparison instead: "
                             "crash-heavy and overload scenarios without/"
                             "with the resilience policy, gated on "
                             "availability and p99")
-    chaos.add_argument("--packs", action="store_true",
+    group.add_argument("--packs", action="store_true",
                        help="run the kernel-pack degradation ladder "
                             "instead: no-packs/healthy/registry-outage/"
                             "fully-degraded legs, gated on cold-start "
@@ -261,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--jobs", type=int, default=1,
                        help="worker processes for --resilience/--packs "
                             "(default: 1, serial)")
-    chaos.add_argument("--min-availability", type=float, default=None,
+    chaos.add_argument("--min-availability", type=float, default=0.999,
                        metavar="FRAC",
-                       help="override the availability gate for "
+                       help="availability gate in [0, 1] for "
                             "--resilience/--packs (default: 0.999)")
     chaos.add_argument("--output", default=None, metavar="FILE",
                        help="write the --resilience/--packs comparison "
@@ -766,13 +769,23 @@ def _cmd_cluster(args, out) -> int:
     return 0
 
 
+def _finish_report(args, out, report, passed: bool, verdict: str) -> int:
+    """Write a comparison report to ``--output`` (if given), print its
+    verdict line and return the exit code."""
+    if args.output is not None:
+        from repro.runner import report_json
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(report_json(report))
+        out(f"wrote {args.output}")
+    out(verdict)
+    return 0 if passed else 1
+
+
 def _cmd_fleet_frontier(args, out) -> int:
-    import json
+    from repro.runner import comparison_report
 
-    from repro.runner import fleet_frontier_report
-
-    report = fleet_frontier_report(device=args.device, model=args.model,
-                                   jobs=args.jobs)
+    report, passed = comparison_report("fleet-frontier", device=args.device,
+                                       model=args.model, jobs=args.jobs)
     frontier = report["fleet_frontier"]
     out(f"scale-to-zero frontier on {frontier['device']}/"
         f"{frontier['model']}: p99 SLO {frontier['slo_p99_s'] * 1e3:.2f} ms "
@@ -788,16 +801,11 @@ def _cmd_fleet_frontier(args, out) -> int:
     for leg, value in frontier["frontiers"].items():
         shown = "none (never meets SLO)" if value is None else f"{value:g}s"
         out(f"frontier[{leg}] = {shown}")
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out(f"wrote {args.output}")
-    verdict = frontier["pass"]
-    out(f"verdict: {'PASS' if verdict else 'FAIL'} — PaSK "
-        f"{'shifts' if verdict else 'does not shift'} the scale-to-zero "
+    return _finish_report(
+        args, out, report, passed,
+        f"verdict: {'PASS' if passed else 'FAIL'} — PaSK "
+        f"{'shifts' if passed else 'does not shift'} the scale-to-zero "
         f"frontier below Baseline at equal availability")
-    return 0 if verdict else 1
 
 
 def _cmd_fleet(args, out) -> int:
@@ -808,6 +816,8 @@ def _cmd_fleet(args, out) -> int:
 
     if args.frontier:
         return _cmd_fleet_frontier(args, out)
+    if args.output is not None:
+        raise ValueError("--output needs --frontier")
 
     scheme = _SCHEMES[args.scheme]
     devices = tuple(d.strip() for d in args.devices.split(",") if d.strip())
@@ -964,17 +974,14 @@ def _cmd_fleet(args, out) -> int:
 
 
 def _cmd_chaos_resilience(args, out) -> int:
-    import json
+    from repro.runner import comparison_report
 
-    from repro.runner import chaos_report
-
-    report = chaos_report(device=args.device, model=args.model,
-                          jobs=args.jobs,
-                          min_availability=args.min_availability)
-    failures = 0
-    for scenario in report["chaos"]["scenarios"]:
+    report, passed = comparison_report(
+        "chaos", device=args.device, model=args.model, jobs=args.jobs,
+        min_availability=args.min_availability)
+    scenarios = report["chaos"]["scenarios"]
+    for scenario in scenarios:
         verdict = "PASS" if scenario["pass"] else "FAIL"
-        failures += not scenario["pass"]
         out(f"[{verdict}] {scenario['name']}: {scenario['description']}")
         out(f"  p99 {scenario['baseline_p99_s'] * 1e3:.2f} ms -> "
             f"{scenario['resilient_p99_s'] * 1e3:.2f} ms "
@@ -984,32 +991,24 @@ def _cmd_chaos_resilience(args, out) -> int:
         out(f"  availability {scenario['availability']:.4%} "
             f"(gate {scenario['min_availability']:.4%}), "
             f"shed {scenario['shed']}")
-        counters = scenario["resilient_faults"]
-        if counters:
-            interesting = {k: v for k, v in sorted(counters.items()) if v}
-            if interesting:
-                out("  counters: " + ", ".join(
-                    f"{k}={v}" for k, v in interesting.items()))
+        interesting = {k: v for k, v in
+                       sorted(scenario["resilient_faults"].items()) if v}
+        if interesting:
+            out("  counters: " + ", ".join(
+                f"{k}={v}" for k, v in interesting.items()))
         out("")
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out(f"wrote {args.output}")
-    out(f"{len(report['chaos']['scenarios']) - failures}/"
-        f"{len(report['chaos']['scenarios'])} scenarios passed")
-    return 1 if failures else 0
+    passed_count = sum(1 for scenario in scenarios if scenario["pass"])
+    return _finish_report(
+        args, out, report, passed,
+        f"{passed_count}/{len(scenarios)} scenarios passed")
 
 
 def _cmd_chaos_packs(args, out) -> int:
-    import json
+    from repro.runner import comparison_report
 
-    from repro.runner import packs_report
-
-    kwargs = dict(device=args.device, model=args.model, jobs=args.jobs)
-    if args.min_availability is not None:
-        kwargs["min_availability"] = args.min_availability
-    report = packs_report(**kwargs)
+    report, passed = comparison_report(
+        "packs", device=args.device, model=args.model, jobs=args.jobs,
+        min_availability=args.min_availability)
     for leg in report["packs"]["legs"]:
         out(f"{leg['name']}: {leg['description']}")
         out(f"  cold starts {leg['cold_starts']}, pack restores "
@@ -1026,13 +1025,8 @@ def _cmd_chaos_packs(args, out) -> int:
                  "degraded_falls_back_to_cold", "bytes_conserved",
                  "no_lost_requests"):
         out(f"[{'PASS' if gates[name] else 'FAIL'}] {name}")
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        out(f"wrote {args.output}")
-    out("packs ladder: " + ("PASS" if gates["pass"] else "FAIL"))
-    return 0 if gates["pass"] else 1
+    return _finish_report(args, out, report, passed,
+                          "packs ladder: " + ("PASS" if passed else "FAIL"))
 
 
 def _cmd_chaos(args, out) -> int:
@@ -1042,6 +1036,8 @@ def _cmd_chaos(args, out) -> int:
         return _cmd_chaos_resilience(args, out)
     if args.packs:
         return _cmd_chaos_packs(args, out)
+    if args.output is not None:
+        raise ValueError("--output needs --resilience or --packs")
 
     plan = FaultPlan(
         seed=args.seed,

@@ -34,8 +34,8 @@ from repro.runner.tasks import (ExperimentTask, cluster_stats_from_payload,
                                 fleet_stats_from_payload,
                                 result_from_payload)
 
-__all__ = ["BenchReport", "build_report", "write_report", "compare_reports",
-           "run_bench"]
+__all__ = ["BenchReport", "build_report", "write_report", "report_json",
+           "compare_reports", "run_bench"]
 
 _BASELINE_LABEL = Scheme.BASELINE.value
 
@@ -216,9 +216,14 @@ def write_report(report: Dict[str, Any], out_dir: str = ".") -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{stamp}.json")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(report_json(report))
     return path
+
+
+def report_json(report: Dict[str, Any]) -> str:
+    """A report as written to disk: indented, sorted keys, trailing
+    newline."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],

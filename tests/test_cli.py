@@ -202,3 +202,64 @@ class TestFleetCommand:
     def test_bench_fleet_flag_parses(self):
         args = build_parser().parse_args(["bench", "--quick", "--fleet"])
         assert args.fleet
+
+
+class TestReportCommands:
+    """``chaos --resilience``, ``chaos --packs`` and ``fleet --frontier``
+    print their verdict and write exactly the library's report."""
+
+    @pytest.mark.parametrize("argv, name, verdict", [
+        (["chaos", "res", "--resilience"], "chaos",
+         "2/2 scenarios passed"),
+        (["chaos", "res", "--packs"], "packs", "packs ladder: PASS"),
+        (["fleet", "--frontier"], "fleet-frontier",
+         "verdict: PASS — PaSK shifts the scale-to-zero frontier below "
+         "Baseline at equal availability"),
+    ], ids=["resilience", "packs", "frontier"])
+    def test_report_output_matches_library(self, tmp_path, capsys, argv,
+                                           name, verdict):
+        import json
+
+        from repro.runner import comparison_report, report_json
+
+        path = tmp_path / "report.json"
+        assert main(argv + ["--output", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"wrote {path}", verdict]
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        expected, passed = comparison_report(name, created_unix=0.0)
+        assert passed
+        del payload["run"], expected["run"]
+        assert report_json(payload) == report_json(expected)
+
+    @pytest.mark.parametrize("flag", ["--resilience", "--packs"])
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-0.5"])
+    def test_out_of_range_availability_is_one_line_error(
+            self, capsys, monkeypatch, flag, value):
+        from repro.runner import reports
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("replayed legs with an invalid gate")
+        monkeypatch.setattr(reports, "run_tasks", boom)
+        assert main(["chaos", "res", flag, "--min-availability",
+                     value]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: min_availability must lie in [0, 1]")
+        assert out.count("\n") == 1
+
+    def test_resilience_and_packs_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "res", "--resilience", "--packs"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["chaos", "res"], "--resilience or --packs"),
+        (["fleet", "res"], "--frontier"),
+    ], ids=["chaos", "fleet"])
+    def test_output_without_report_is_one_line_error(self, tmp_path, capsys,
+                                                     argv, needs):
+        path = tmp_path / "report.json"
+        assert main(argv + ["--output", str(path)]) == 2
+        assert capsys.readouterr().out == f"error: --output needs {needs}\n"
+        assert not path.exists()

@@ -13,9 +13,11 @@ Three pins:
   off delegation equals ``ClusterSimulator(fast_forward=False)`` on the
   per-region static replay (``fast_forward=True``) and on the
   per-arrival loop (``fast_forward=False``).
-- **Frontier report stability** — regenerating the checked-in
-  ``benchmarks/fleet_frontier_report.json`` reproduces it byte-for-byte
-  (run ``scripts/make_fleet_report.py`` after deliberate changes).
+- **Frontier report claims** — the checked-in
+  ``benchmarks/fleet_frontier_report.json`` passes and shows the
+  frontier shift (``tests/test_reports.py`` pins it byte-for-byte
+  against a fresh regeneration; run ``scripts/make_reports.py`` after
+  deliberate changes).
 """
 
 import json
@@ -174,17 +176,6 @@ class TestGeneralPathEquivalence:
 
 
 class TestFrontierReportGolden:
-    def test_checked_in_report_regenerates_byte_identically(self):
-        from repro.runner import fleet_frontier_report
-        with open(_REPORT, encoding="utf-8") as handle:
-            checked_in = handle.read()
-        fresh = fleet_frontier_report(created_unix=0.0)
-        regenerated = json.dumps(fresh, indent=2, sort_keys=True) + "\n"
-        assert regenerated == checked_in, (
-            "fleet frontier sweep drifted from the checked-in golden "
-            "report; if the change is deliberate, rerun "
-            "scripts/make_fleet_report.py and commit the diff")
-
     def test_checked_in_report_passes_and_validates(self):
         from repro.runner import validate_report
         with open(_REPORT, encoding="utf-8") as handle:

@@ -4,11 +4,11 @@
 evidence: the healthy fetch hierarchy strictly reduces cold serves at
 equal availability, and under a full registry outage the ladder
 degrades to cold load with zero lost requests while conserving every
-fetched byte.  These tests pin the checked-in copy byte-for-byte
+fetched byte.  These tests assert the claims hold in the checked-in numbers
+themselves; ``tests/test_reports.py`` pins the copy byte-for-byte
 against a fresh regeneration (the simulator is deterministic, so any
 drift is a real behavior change that must be reviewed and re-committed
-via ``scripts/make_packs_report.py``) and assert the claims hold in
-the numbers themselves.
+via ``scripts/make_reports.py``).
 """
 
 import json
@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from repro.runner import packs_report, packs_scenarios, validate_report
+from repro.runner import validate_report
+from repro.runner.reports import PACK_LEGS
 
 REPORT_PATH = os.path.join(os.path.dirname(__file__), "..",
                            "benchmarks", "pack_degradation_report.json")
@@ -32,15 +33,9 @@ def test_checked_in_report_validates(checked_in):
     assert validate_report(checked_in) == []
 
 
-def test_checked_in_report_matches_regeneration(checked_in):
-    fresh = packs_report(created_unix=0.0)
-    assert fresh == checked_in
-
-
 def test_legs_cover_the_curated_ladder(checked_in):
     legs = checked_in["packs"]["legs"]
-    assert [leg["name"] for leg in legs] == [
-        s.name for s in packs_scenarios()]
+    assert [leg["name"] for leg in legs] == [name for name, _ in PACK_LEGS]
     # Distinct report cells: the fault-plan digest suffix keeps the
     # outage and degraded legs from colliding with the healthy one.
     assert len({leg["cell"] for leg in legs}) == len(legs)

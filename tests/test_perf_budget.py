@@ -114,3 +114,65 @@ class TestEndToEnd:
             repeats=1, rate_hz=50.0)
         assert budget_script.main([path]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+
+class TestEntryKeys:
+    """Every entry's keys are checked against its kind before anything
+    is measured; a typo or an omission exits 2, never 1 or ``ok``."""
+
+    @pytest.fixture
+    def no_measuring(self, budget_script, monkeypatch):
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("measured an entry with bad keys")
+        monkeypatch.setattr(budget_script, "_measure", boom)
+
+    def test_unknown_key_exits_2(self, budget_script, tmp_path, capsys,
+                                 no_measuring):
+        path = _write_budget(tmp_path, [
+            {"name": "typo", "kind": "fleet", "requests": 10,
+             "regoins": 2, "budget_s": 1.0}])
+        assert budget_script.main([path]) == 2
+        err = capsys.readouterr().err
+        assert err == "entry 'typo': unknown key 'regoins'\n"
+
+    def test_missing_key_exits_2(self, budget_script, tmp_path, capsys,
+                                 no_measuring):
+        path = _write_budget(tmp_path, [
+            {"name": "no-ff", "requests": 10, "trace_retention": None,
+             "budget_s": 1.0}])
+        assert budget_script.main([path]) == 2
+        err = capsys.readouterr().err
+        assert err == "entry 'no-ff': missing key 'fast_forward'\n"
+
+    def test_unnamed_entry_is_named_by_index(self, budget_script, tmp_path,
+                                             capsys, no_measuring):
+        path = _write_budget(tmp_path, [
+            {"name": "ok", "kind": "cold-serve", "budget_s": 1.0},
+            {"kind": "cold-serve", "budget_s": 1.0}])
+        assert budget_script.main([path]) == 2
+        assert capsys.readouterr().err == "entry '#1': missing key 'name'\n"
+
+    @pytest.mark.parametrize("kind", ["cluster", "fleet", "packs"])
+    def test_entry_rate_overrides_file_rate(self, budget_script,
+                                            monkeypatch, kind):
+        seen = {}
+
+        def profile(**kwargs):
+            seen.update(kwargs)
+        for name in ("profile_cluster", "profile_fleet", "profile_packs"):
+            monkeypatch.setattr(budget_script, name, profile)
+        entry = {"name": "x", "kind": kind, "requests": 10,
+                 "trace_retention": None, "fast_forward": True,
+                 "rate_hz": 7.0, "budget_s": 1.0}
+        budget_script._measure(entry, 200.0)
+        assert seen["rate_hz"] == 7.0
+
+    @pytest.mark.parametrize("name", ["trace_scaling_budget.json",
+                                      "replay_scaling_budget.json",
+                                      "pack_transfer_budget.json"])
+    def test_checked_in_budgets_have_valid_keys(self, budget_script, name):
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", name)
+        with open(path, encoding="utf-8") as handle:
+            entries = json.load(handle)["entries"]
+        assert budget_script._key_problems(entries) == []
