@@ -22,8 +22,11 @@ and the other keys each kind takes are (required / optional):
   (``repro.runner.profile_packs``, gated on its pack-restore leg):
   ``requests`` / ``rate_hz``, ``instances``, ``idle_timeout_s``.
 - ``cold-serve`` — the 12-model x 6-scheme MI100 cold-serve grid with
-  one ``breakdown()`` per serve, so the trace fold is gated too: no
-  other keys.
+  one ``breakdown()`` per serve, so the trace fold is gated too:
+  ``events``, the exact total of ``Environment.events_scheduled`` over
+  the timed pass.  The simulation is deterministic, so any other count
+  fails the entry whatever its wall-clock: an event-kernel change that
+  adds or saves work has to re-pin the count.
 
 An entry's ``rate_hz`` overrides the file-level ``rate_hz``.  An
 unrecognized ``kind``, an unknown key or a missing required key is a
@@ -55,7 +58,7 @@ KIND_KEYS = {
                 {"rate_hz"}),
     "fleet": ({"requests"}, {"rate_hz", "regions", "jobs", "routing"}),
     "packs": ({"requests"}, {"rate_hz", "instances", "idle_timeout_s"}),
-    "cold-serve": (set(), set()),
+    "cold-serve": ({"events"}, set()),
 }
 KNOWN_KINDS = tuple(KIND_KEYS)
 
@@ -63,24 +66,39 @@ KNOWN_KINDS = tuple(KIND_KEYS)
 def _cold_serve_grid():
     """Cold-serve every model under every scheme (MI100, batch 1),
     querying the phase breakdown of each trace; graphs and programs are
-    built by an untimed first pass."""
+    built by an untimed first pass.  Every serve's ``Environment`` is
+    kept, to total the events the timed pass scheduled."""
     from repro.core.schemes import Scheme
     from repro.models import list_models
-    from repro.serving.server import InferenceServer
+    from repro.serving import server as server_module
     from repro.sim.trace import Phase
 
-    server = InferenceServer("MI100")
+    environments = []
+    plain = server_module.Environment
+
+    class CountedEnvironment(plain):
+        def __init__(self):
+            super().__init__()
+            environments.append(self)
+
+    server = server_module.InferenceServer("MI100")
     cells = [(model, scheme) for model in list_models() for scheme in Scheme]
     for model, scheme in cells:
         server.serve_cold(model, scheme)
     records = 0
-    start = perf_counter()
-    for model, scheme in cells:
-        trace = server.serve_cold(model, scheme).trace
-        trace.breakdown(list(Phase))
-        records += trace.record_count
-    return SimpleNamespace(wall_s=perf_counter() - start,
-                           requests=len(cells), records=records)
+    server_module.Environment = CountedEnvironment
+    try:
+        start = perf_counter()
+        for model, scheme in cells:
+            trace = server.serve_cold(model, scheme).trace
+            trace.breakdown(list(Phase))
+            records += trace.record_count
+        wall_s = perf_counter() - start
+    finally:
+        server_module.Environment = plain
+    return SimpleNamespace(
+        wall_s=wall_s, requests=len(cells), records=records,
+        events=sum(env.events_scheduled for env in environments))
 
 
 def _key_problems(entries):
@@ -135,7 +153,7 @@ def _detail(entry, profile):
         return (f"restores={profile.pack_restores}  "
                 f"speedup={profile.modeled_speedup_vs_cold:.2f}x-cold")
     if kind == "cold-serve":
-        return f"records={profile.records}"
+        return f"records={profile.records}  events={profile.events}"
     return f"retained={profile.peak_retained_records}"
 
 
@@ -170,6 +188,8 @@ def main(argv):
                 best, best_wall = profile, wall
         ceiling = factor * entry["budget_s"]
         verdict = "ok" if best_wall <= ceiling else "REGRESSION"
+        if "events" in entry and best.events != entry["events"]:
+            verdict = f"EVENTS!={entry['events']}"
         if verdict != "ok":
             failures += 1
         print(f"{entry['name']:<{width}}  wall={best_wall:7.3f}s  "
@@ -177,8 +197,8 @@ def main(argv):
               f"requests={best.requests}  "
               f"{_detail(entry, best)}  {verdict}")
     if failures:
-        print(f"{failures} measurement(s) over {factor}x budget",
-              file=sys.stderr)
+        print(f"{failures} measurement(s) over {factor}x budget or off "
+              "their exact count", file=sys.stderr)
         return 1
     print("all measurements within budget")
     return 0

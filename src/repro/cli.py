@@ -19,7 +19,9 @@ Commands
   heavy and overload scenarios without/with the resilience policy),
   gated on availability and p99; ``--packs`` runs the kernel-pack
   degradation ladder.  These and ``fleet --frontier`` are the
-  comparison reports of :mod:`repro.runner.reports`.
+  comparison reports of :mod:`repro.runner.reports`; each runs a fixed
+  scenario, so a scenario flag given with one (or a report-only flag
+  given without one) is an error rather than silently ignored.
 - ``bench`` — run a curated benchmark grid through the parallel engine
   (``--jobs``) with the on-disk result cache, emit a machine-readable
   ``BENCH_<timestamp>.json`` and optionally gate against a baseline.
@@ -808,6 +810,31 @@ def _cmd_fleet_frontier(args, out) -> int:
         f"frontier below Baseline at equal availability")
 
 
+def _changed_flags(args, dests) -> List[str]:
+    """Those of ``dests`` that a parsed subcommand set away from their
+    defaults, as ``--flag`` names in parser order."""
+    defaults = vars(build_parser().parse_args([args.command, args.model]))
+    return [f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+            if dest in dests and value != defaults[dest]]
+
+
+def _reject_ignored(args, mode: str, reads) -> None:
+    """Refuse the options ``mode`` never reads (those not in ``reads``)
+    that were set away from their defaults: one ``error:`` line, before
+    anything runs."""
+    ignored = _changed_flags(args, set(vars(args)) - reads)
+    if ignored:
+        raise ValueError(f"{mode} runs a fixed scenario and would ignore "
+                         f"{', '.join(ignored)}")
+
+
+# What the report modes read; every other option of their subcommand
+# describes the single scenario the report replaces.
+_FRONTIER_DESTS = {"command", "model", "frontier", "device", "jobs", "output"}
+_CHAOS_REPORT_DESTS = {"command", "model", "resilience", "packs", "device",
+                       "jobs", "min_availability", "output"}
+
+
 def _cmd_fleet(args, out) -> int:
     from repro.fleet import (AutoscalePolicy, FleetConfig, FleetSimulator,
                              RegionConfig, RoutingPolicy, merge_traces)
@@ -815,9 +842,13 @@ def _cmd_fleet(args, out) -> int:
     from repro.sim.faults import FaultPlan
 
     if args.frontier:
+        _reject_ignored(args, "--frontier", _FRONTIER_DESTS)
         return _cmd_fleet_frontier(args, out)
     if args.output is not None:
         raise ValueError("--output needs --frontier")
+    if _changed_flags(args, {"device"}):
+        raise ValueError("--device needs --frontier (a scenario's regions "
+                         "come from --devices)")
 
     scheme = _SCHEMES[args.scheme]
     devices = tuple(d.strip() for d in args.devices.split(",") if d.strip())
@@ -1033,11 +1064,18 @@ def _cmd_chaos(args, out) -> int:
     from repro.sim.faults import FaultPlan
 
     if args.resilience:
+        _reject_ignored(args, "--resilience", _CHAOS_REPORT_DESTS)
         return _cmd_chaos_resilience(args, out)
     if args.packs:
+        _reject_ignored(args, "--packs", _CHAOS_REPORT_DESTS)
         return _cmd_chaos_packs(args, out)
     if args.output is not None:
         raise ValueError("--output needs --resilience or --packs")
+    report_only = _changed_flags(args, {"jobs", "min_availability"})
+    if report_only:
+        verb = "needs" if len(report_only) == 1 else "need"
+        raise ValueError(f"{' and '.join(report_only)} {verb} "
+                         "--resilience or --packs")
 
     plan = FaultPlan(
         seed=args.seed,

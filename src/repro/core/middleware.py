@@ -426,9 +426,4 @@ class PaskMiddleware:
 
     def _watch_completion(self, completion, index: int):
         tracker = self.tracker
-
-        def watcher():
-            yield completion
-            tracker.record_executed(index)
-
-        self.env.process(watcher(), name=f"watch-{index}")
+        completion.on_processed(lambda _event: tracker.record_executed(index))

@@ -18,6 +18,7 @@ serving harness (:mod:`repro.serving.server`) wraps them into
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Any, Dict, List, Optional
 
 from repro.core.cache import LoadedInstance, NaiveSolutionCache
@@ -115,14 +116,14 @@ def _request_setup(env: Environment, runtime: HipRuntime):
 
 
 def _upload_weights(env: Environment, runtime: HipRuntime, program: Program,
-                    actor: str = "host"):
-    """Copy the model weights to device memory (opt-in; see
-    ``InferenceServer(upload_weights=True)``).
+                    upload: bool, actor: str = "host"):
+    """Copy the model weights to device memory when ``upload`` asks for
+    it (opt-in; see ``InferenceServer(upload_weights=True)``).
 
     Reactive schemes pay this serially before launching; PASK runs it as
     a concurrent DMA alongside parsing and loading.
     """
-    if not program.metadata.get("upload_weights"):
+    if not upload or runtime.weights_resident:
         return
     weight_bytes = program.metadata.get("weight_bytes", 0)
     if weight_bytes <= 0:
@@ -131,9 +132,9 @@ def _upload_weights(env: Environment, runtime: HipRuntime, program: Program,
     yield env.timeout(weight_bytes / _H2D_BANDWIDTH)
     runtime.trace.record(start, env.now, actor, Phase.OTHER,
                          "weight-upload", bytes=weight_bytes)
-    # Weights persist in device memory: later requests on this program
-    # instance (e.g. within a session) skip the upload.
-    program.metadata["upload_weights"] = False
+    # Weights persist in device memory: later requests on this runtime
+    # (e.g. within a session) skip the upload.
+    runtime.weights_resident = True
 
 
 def _issue_instruction(env: Environment, runtime: HipRuntime,
@@ -168,10 +169,11 @@ def _issue_instruction(env: Environment, runtime: HipRuntime,
 # Executors
 # ----------------------------------------------------------------------
 
-def _run_baseline(env, runtime, library, blas, program) -> Dict[str, Any]:
+def _run_baseline(env, runtime, library, blas, program,
+                  upload_weights: bool = False) -> Dict[str, Any]:
     bundle = program.engine_bundle
     yield from _request_setup(env, runtime)
-    yield from _upload_weights(env, runtime, program)
+    yield from _upload_weights(env, runtime, program, upload_weights)
     yield from _parse_all(env, runtime, program)
     for instr in program.instructions:
         yield from _issue_instruction(env, runtime, library, blas, instr,
@@ -181,13 +183,16 @@ def _run_baseline(env, runtime, library, blas, program) -> Dict[str, Any]:
     return {}
 
 
-def _run_ideal(env, runtime, library, blas, program) -> Dict[str, Any]:
+def _run_ideal(env, runtime, library, blas, program,
+               upload_weights: bool = False) -> Dict[str, Any]:
     runtime.preload(program_code_objects(program, library, blas))
-    stats = yield from _run_baseline(env, runtime, library, blas, program)
+    stats = yield from _run_baseline(env, runtime, library, blas, program,
+                                     upload_weights)
     return stats
 
 
-def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
+def _run_nnv12(env, runtime, library, blas, program,
+               upload_weights: bool = False) -> Dict[str, Any]:
     """NNV12: cold-start-aware offline kernel selection + advance loading.
 
     Offline, NNV12's lowered model picks layout-native, bucket-shared
@@ -199,7 +204,7 @@ def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
     """
     bundle = program.engine_bundle
     yield from _request_setup(env, runtime)
-    yield from _upload_weights(env, runtime, program)
+    yield from _upload_weights(env, runtime, program, upload_weights)
     yield from _parse_all(env, runtime, program)
     channel = Channel(env, None, name="nnv12-load->issue")
 
@@ -233,23 +238,26 @@ def _run_nnv12(env, runtime, library, blas, program) -> Dict[str, Any]:
 
 
 def _run_pask(env, runtime, library, blas, program,
+              upload_weights: bool = False, *,
               config: PaskConfig) -> Dict[str, Any]:
     yield from _request_setup(env, runtime)
     # PASK overlaps the weight DMA with parsing/loading (a concurrent
     # copy engine transfer), instead of paying it serially.
     uploader = env.process(_upload_weights(env, runtime, program,
-                                           actor="dma"), "weight-dma")
+                                           upload_weights, actor="dma"),
+                           "weight-dma")
     middleware = PaskMiddleware(env, runtime, library, blas, config)
     stats = yield from middleware.execute(program)
     yield uploader
     return stats
 
 
-def _run_pask_r(env, runtime, library, blas, program) -> Dict[str, Any]:
+def _run_pask_r(env, runtime, library, blas, program,
+                upload_weights: bool = False) -> Dict[str, Any]:
     """Reuse without interleaving, on the naive exhaustive cache."""
     bundle = program.engine_bundle
     yield from _request_setup(env, runtime)
-    yield from _upload_weights(env, runtime, program)
+    yield from _upload_weights(env, runtime, program, upload_weights)
     yield from _parse_all(env, runtime, program)
     cache = NaiveSolutionCache()
     reused = 0
@@ -296,8 +304,9 @@ def _run_pask_r(env, runtime, library, blas, program) -> Dict[str, Any]:
 def build_executor(scheme: Scheme):
     """The executor generator-function for ``scheme``.
 
-    Executors have signature ``(env, runtime, library, blas, program)``
-    and return a stats dict when driven to completion.
+    Executors have signature ``(env, runtime, library, blas, program,
+    upload_weights=False)`` and return a stats dict when driven to
+    completion.
     """
     if scheme is Scheme.BASELINE:
         return _run_baseline
@@ -306,10 +315,10 @@ def build_executor(scheme: Scheme):
     if scheme is Scheme.NNV12:
         return _run_nnv12
     if scheme is Scheme.PASK:
-        return lambda *args: _run_pask(*args, config=PaskConfig())
+        return functools.partial(_run_pask, config=PaskConfig())
     if scheme is Scheme.PASK_I:
-        return lambda *args: _run_pask(
-            *args, config=PaskConfig(reuse_enabled=False))
+        return functools.partial(_run_pask,
+                                 config=PaskConfig(reuse_enabled=False))
     if scheme is Scheme.PASK_R:
         return _run_pask_r
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.gpu.codeobject import CodeObjectFile
@@ -37,7 +37,7 @@ class InstrKind(enum.Enum):
     NOOP = "noop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineKernel:
     """A per-shape JIT-compiled engine kernel (fused elementwise etc.)."""
 
@@ -45,15 +45,14 @@ class EngineKernel:
     shape_sig: str
     flops: float
     bytes_moved: int
+    # Unique kernel symbol name (op @ shape signature), derived once.
+    name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.flops < 0 or self.bytes_moved < 0:
             raise ValueError(f"negative work in {self}")
-
-    @property
-    def name(self) -> str:
-        """Unique kernel symbol name (op @ shape signature)."""
-        return f"mgx_{self.op.lower()}@{self.shape_sig}"
+        object.__setattr__(self, "name",
+                           f"mgx_{self.op.lower()}@{self.shape_sig}")
 
     @property
     def code_object(self) -> CodeObjectFile:
@@ -84,7 +83,7 @@ _PARSE_COST = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One lowered instruction of a program."""
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.engine.instruction import Instruction, InstrKind
 from repro.gpu.codeobject import CodeObjectFile, KernelSymbol
@@ -18,12 +19,16 @@ class Program:
 
     This is the ``.mgx``-file equivalent: the artifact the model registry
     stores offline and the serving schemes parse, load and execute online.
+    A program is immutable, ``metadata`` included (it is held read-only),
+    so one registered program can serve every request.
     """
 
     name: str
     instructions: Tuple[Instruction, ...]
     batch: int = 1
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = field(default_factory=dict)
+    engine_bundle: Optional[CodeObjectFile] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.instructions:
@@ -33,6 +38,9 @@ class Program:
                 raise ValueError(
                     f"instruction {instr.name!r} has index {instr.index}, "
                     f"expected {position}")
+        object.__setattr__(self, "metadata",
+                           MappingProxyType(dict(self.metadata)))
+        object.__setattr__(self, "engine_bundle", self._bundle())
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -62,15 +70,14 @@ class Program:
         return {p for p in self.distinct_primitive_problems
                 if isinstance(p, ConvProblem)}
 
-    @property
-    def engine_bundle(self):
+    def _bundle(self) -> Optional[CodeObjectFile]:
         """The per-model JIT bundle holding all engine kernels.
 
         The engine compiles its fused elementwise/data-movement kernels
         into one code object embedded in the lowered model file, so a
-        model pays a single load for all of them.  Returns None when the
-        program has no engine kernels.  Deterministic, so it is recomputed
-        rather than serialized.
+        model pays a single load for all of them.  None when the program
+        has no engine kernels.  Deterministic, so it is computed once at
+        construction (as ``engine_bundle``) rather than serialized.
         """
         names = sorted({i.engine_kernel.name
                         for i in self.of_kind(InstrKind.ENGINE_KERNEL)})

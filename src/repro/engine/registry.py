@@ -2,14 +2,19 @@
 
 Serving frameworks "maintain a model registry to store the lowered model
 and directly load them when the request comes to avoid redundant
-lowering" (Sec. II-A).  The registry stores the serialized form; loading
-returns a parsed :class:`Program` (the per-instruction parse cost is
-billed online by the executors, not here).
+lowering" (Sec. II-A).  On registration the registry round-trips the
+program once through the ``.mgx`` format (:func:`serialize_program` then
+:func:`deserialize_program`) and stores that parsed, immutable
+:class:`Program`, so it serves exactly what survives the file format.
+Loading returns the stored object: the per-instruction parse cost is
+billed online, in simulated time, by the executors, not paid again on
+the host.  Programs parsed by one registry share equal problem and
+engine-kernel objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine.lowering import LoweringOptions, lower
 from repro.engine.program import Program
@@ -21,35 +26,35 @@ __all__ = ["ModelRegistry"]
 
 
 class ModelRegistry:
-    """In-memory store of serialized lowered models, keyed by name."""
+    """In-memory store of round-tripped lowered models, keyed by name."""
 
     def __init__(self, library: MIOpenLibrary) -> None:
         self.library = library
-        self._store: Dict[str, str] = {}
+        self._store: Dict[str, Program] = {}
+        # Equal problems and engine kernels across the stored programs
+        # share one object (see ``deserialize_program``).
+        self._shared: Dict[Any, Any] = {}
 
     def compile_and_register(self, graph: Graph, key: Optional[str] = None,
                              options: Optional[LoweringOptions] = None) -> str:
         """Offline preparation: lower ``graph`` and store the result."""
-        program = lower(graph, self.library, options)
-        key = key or program.name
-        self._store[key] = serialize_program(program)
-        return key
+        return self.register(lower(graph, self.library, options), key)
 
     def register(self, program: Program, key: Optional[str] = None) -> str:
-        """Store an already-lowered program."""
+        """Store an already-lowered program (its round-tripped form)."""
         key = key or program.name
-        self._store[key] = serialize_program(program)
+        self._store[key] = deserialize_program(serialize_program(program),
+                                               self._shared)
         return key
 
     def load(self, key: str) -> Program:
-        """Fetch and parse a registered model."""
+        """Fetch a registered model (the stored object itself)."""
         try:
-            payload = self._store[key]
+            return self._store[key]
         except KeyError:
             known = ", ".join(sorted(self._store)) or "<empty>"
             raise KeyError(f"model {key!r} not registered; known: {known}") \
                 from None
-        return deserialize_program(payload)
 
     def __contains__(self, key: str) -> bool:
         return key in self._store

@@ -1,14 +1,15 @@
 """Lowered-program serialization (the ``.mgx`` file format equivalent).
 
-Programs round-trip through plain JSON-compatible dictionaries so the
-model registry can store them offline and the serving schemes can parse
-them at request time.
+Programs round-trip through plain JSON-compatible dictionaries.  The
+model registry round-trips every program it stores once, so what it
+serves is exactly what survives the file format.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+import sys
+from typing import Any, Dict, Optional
 
 from repro.engine.instruction import EngineKernel, Instruction, InstrKind
 from repro.engine.program import Program
@@ -101,28 +102,42 @@ def serialize_program(program: Program) -> str:
         "format": "repro-mgx-v1",
         "name": program.name,
         "batch": program.batch,
-        "metadata": program.metadata,
+        "metadata": dict(program.metadata),
         "instructions": instructions,
     })
 
 
-def deserialize_program(payload: str) -> Program:
-    """Reconstruct a :class:`Program` from :func:`serialize_program` output."""
+def deserialize_program(payload: str,
+                        shared: Optional[Dict[Any, Any]] = None) -> Program:
+    """Reconstruct a :class:`Program` from :func:`serialize_program` output.
+
+    Instruction and solution names are interned.  Equal problems and
+    engine kernels share the first object the ``shared`` memo saw, so
+    the programs parsed through one memo hold each of them once.
+    """
     data = json.loads(payload)
     if data.get("format") != "repro-mgx-v1":
         raise ValueError(f"unknown program format {data.get('format')!r}")
+    if shared is None:
+        shared = {}
     instructions = []
     for entry in data["instructions"]:
-        problem = (_problem_from_dict(entry["problem"])
-                   if "problem" in entry else None)
+        problem = None
+        if "problem" in entry:
+            problem = _problem_from_dict(entry["problem"])
+            problem = shared.setdefault(problem, problem)
+        solution = entry.get("solution")
         kernel = None
         if "engine_kernel" in entry:
             k = entry["engine_kernel"]
             kernel = EngineKernel(k["op"], k["shape_sig"], k["flops"],
                                   k["bytes_moved"])
+            kernel = shared.setdefault(kernel, kernel)
         instructions.append(Instruction(
-            index=entry["index"], name=entry["name"],
+            index=entry["index"], name=sys.intern(entry["name"]),
             kind=InstrKind(entry["kind"]), problem=problem,
-            solution_name=entry.get("solution"), engine_kernel=kernel))
+            solution_name=(sys.intern(solution) if solution is not None
+                           else None),
+            engine_kernel=kernel))
     return Program(name=data["name"], instructions=tuple(instructions),
                    batch=data["batch"], metadata=data.get("metadata", {}))

@@ -312,6 +312,7 @@ class RegionStats(_OutcomeViews):
                    shed=stats.shed, faults=stats.faults,
                    trace=stats.trace,
                    fast_forwarded=stats.fast_forwarded,
+                   restores=stats.restores,
                    pack_restores=stats.pack_restores,
                    packs=stats.packs)
 

@@ -127,6 +127,9 @@ class HipRuntime:
         # RuntimeSnapshot.restore() rather than a full load.
         self.restored_names: Set[str] = set()
         self.restored_bytes = 0
+        # Model weights copied to device memory by an opt-in upload;
+        # later requests served on this runtime skip the copy.
+        self.weights_resident = False
 
     # ------------------------------------------------------------------
     # Module management

@@ -32,7 +32,7 @@ class PrimitiveKind(enum.Enum):
     GEMM = "gemm"   # served by the BLAS library, not MIOpen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvProblem:
     """A 2-D forward convolution problem."""
 
@@ -121,7 +121,7 @@ class ConvProblem:
                            self.layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolProblem:
     """A 2-D pooling problem (max or average, including global)."""
 
@@ -183,7 +183,7 @@ class PoolProblem:
                            self.dtype, self.layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivationProblem:
     """An elementwise activation problem over a flattened extent."""
 
@@ -222,7 +222,7 @@ class ActivationProblem:
                                  self.dtype, self.layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GemmProblem:
     """A (batched) matrix-multiply problem served by the BLAS library."""
 

@@ -89,6 +89,10 @@ def _cluster_cell(task: ExperimentTask, outcome: TaskOutcome
         cell["availability"] = stats.availability
         cell["faults"] = stats.faults.as_dict()
         cell["resilience"] = task.resilience is not None
+    if task.resilience is not None:
+        # Serves of checkpoint-restored instances: only a resilience
+        # policy restores, so other cells keep their exact shape.
+        cell["restores"] = stats.restores
     if task.packs is not None:
         # Pack-hierarchy columns, same gating rule: pack-free grids
         # keep their exact report shape.

@@ -152,6 +152,7 @@ def _chaos_section(cells: List[Cell], device: str, model: str,
                             if res["p99_s"] > 0 else 1.0),
             "baseline_cold_starts": base["cold_starts"],
             "resilient_cold_starts": res["cold_starts"],
+            "resilient_restores": res["restores"],
             "shed": res.get("shed", 0),
             "resilient_faults": res.get("faults", {}),
             "pass": (availability >= min_availability

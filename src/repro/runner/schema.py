@@ -53,6 +53,8 @@ _CLUSTER_CELL_PROPS = {
     "availability": {"type": "number", "minimum": 0, "maximum": 1},
     "faults": {"type": "object"},
     "resilience": {"type": "boolean"},
+    # Present only on cells that ran with a resilience policy.
+    "restores": {"type": "integer", "minimum": 0},
     # Pack-hierarchy columns, present only on cells that ran with a
     # kernel-pack policy (``repro chaos --packs`` cells).
     "pack_restores": {"type": "integer", "minimum": 0},
@@ -62,7 +64,7 @@ _CLUSTER_CELL_PROPS = {
 # Cluster-cell keys that may be absent (fault-free, policy-free replays
 # keep the historic report shape byte-for-byte).
 _OPTIONAL_CLUSTER_KEYS = frozenset(
-    {"shed", "availability", "faults", "resilience",
+    {"shed", "availability", "faults", "resilience", "restores",
      "pack_restores", "packs"})
 
 _FLEET_CELL_PROPS = {

@@ -363,6 +363,9 @@ def cluster_stats_to_payload(stats: ClusterStats) -> Dict[str, Any]:
         # Absent rather than null so pre-packs payloads stay byte-stable.
         payload["pack_restores"] = stats.pack_restores
         payload["packs"] = stats.packs.as_dict()
+    if stats.restores:
+        # Absent when zero, for the same reason.
+        payload["restores"] = stats.restores
     return payload
 
 
@@ -385,6 +388,7 @@ def cluster_stats_from_payload(payload: Dict[str, Any]) -> ClusterStats:
         pack_restores=payload.get("pack_restores", 0),
         packs=(PackTransferCounters(**payload["packs"])
                if payload.get("packs") is not None else None),
+        restores=payload.get("restores", 0),
     )
 
 

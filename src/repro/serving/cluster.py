@@ -116,6 +116,9 @@ class ClusterStats:
     # load (counted separately from cold_starts so the hierarchy's
     # savings are directly measurable).
     pack_restores: int = 0
+    # Serves by instances the resilience supervisor restarted from a
+    # warm-state checkpoint (outcome ``RESTORE``, not a cold start).
+    restores: int = 0
     # Pack fetch-hierarchy accounting (None unless ClusterConfig.packs
     # is set), including the byte-conservation ledger.
     packs: Optional[PackTransferCounters] = None
@@ -336,6 +339,9 @@ class ClusterSimulator:
             if stats.pack_restores:
                 self._m_requests.inc(stats.pack_restores,
                                      outcome="pack", scheme=label)
+            if stats.restores:
+                self._m_requests.inc(stats.restores,
+                                     outcome="restore", scheme=label)
             if stats.packs is not None:
                 feed_pack_metrics(self.metrics, stats.packs,
                                   scheme=label)

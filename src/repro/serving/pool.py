@@ -287,6 +287,9 @@ class InstancePool:
                     self.queue_depth.observe(arrival, start)
             warm_attempt = instance.warm
             pack_tier: Optional[str] = None
+            # The resilience supervisor restarted this instance from a
+            # warm-state checkpoint (its restore was billed as downtime).
+            resumed = False
             if warm_attempt:
                 service = warm
             elif restored:
@@ -294,6 +297,7 @@ class InstancePool:
                 # warm state; it takes precedence over the pack ladder.
                 service = self.restore_cost + warm
             elif resilience is not None:
+                resumed = instance.frac_base > 0.0
                 service = resilience.cold_service(instance.frac_base,
                                                   self.cold)
             elif self.pack_state is not None:
@@ -325,6 +329,9 @@ class InstancePool:
                     stats.restores += 1
                     stats.restore_s += self.restore_cost
                     code = RESTORE
+                elif resumed:
+                    stats.restores += 1
+                    code = RESTORE
                 elif pack_tier is not None:
                     stats.pack_restores += 1
                     code = PACK
@@ -344,7 +351,7 @@ class InstancePool:
                     else:
                         boundary = start + (service - warm
                                             if service > warm else 0.0)
-                        if restored:
+                        if restored or resumed:
                             load_name = "restore"
                         elif pack_tier is not None:
                             load_name = f"pack-restore/{pack_tier}"

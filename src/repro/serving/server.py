@@ -60,10 +60,7 @@ class InferenceServer:
             graph = self._resolve_graph(model)
             self.registry.compile_and_register(
                 graph, key=key, options=scheme.lowering_options(batch))
-        program = self.registry.load(key)
-        if self.upload_weights:
-            program.metadata["upload_weights"] = True
-        return program
+        return self.registry.load(key)
 
     def _resolve_graph(self, model: str) -> Graph:
         if model in self._graphs:
@@ -111,7 +108,8 @@ class InferenceServer:
             with runtime.spans.request(f"serve:{model}", model=model,
                                        scheme=scheme.label, batch=batch):
                 stats = yield from executor(env, runtime, self.library,
-                                            self.blas, program)
+                                            self.blas, program,
+                                            self.upload_weights)
             outcome.update(stats or {})
 
         process = env.process(driver(), name=f"serve-{model}")
@@ -191,7 +189,8 @@ class InferenceServer:
                                                scheme=scheme.label):
                         stats = yield from executor(env, runtime,
                                                     self.library,
-                                                    self.blas, program)
+                                                    self.blas, program,
+                                                    self.upload_weights)
                 except FaultError as error:
                     # The instance died mid-request: record the request
                     # as explicitly failed and end the session (the
@@ -277,7 +276,8 @@ class InferenceServer:
             with runtime.spans.request(f"capture:{model}", model=model,
                                        scheme=scheme.label, batch=batch):
                 stats = yield from executor(env, runtime, self.library,
-                                            self.blas, program)
+                                            self.blas, program,
+                                            self.upload_weights)
             outcome.update(stats or {})
             served_at = env.now
             snapshot = yield from runtime.snapshot()
@@ -349,7 +349,8 @@ class InferenceServer:
                     # already spent is sunk cost, nothing is resident.
                     metadata["restore_failed"] = str(error)
                 stats = yield from executor(env, runtime, self.library,
-                                            self.blas, program)
+                                            self.blas, program,
+                                            self.upload_weights)
             outcome.update(stats or {})
 
         process = env.process(driver(), name=f"restore-{model}")

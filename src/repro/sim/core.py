@@ -125,6 +125,13 @@ class Event:
         self.env._schedule(self)
         return self
 
+    def on_processed(self, callback: Callable[["Event"], None]) -> None:
+        """Call ``callback(event)`` in the step that processes this event,
+        after the callbacks registered before it (at once when the event
+        was already processed).  Unlike a process waiting on the event,
+        a callback schedules no events of its own."""
+        self._add_callback(callback)
+
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._processed:
             # Already processed: run the callback immediately so late

@@ -253,6 +253,71 @@ class TestReportCommands:
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_replay(self, monkeypatch):
+        from repro.fleet import FleetSimulator
+        from repro.runner import reports
+        from repro.serving.server import InferenceServer
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("replayed with an ignored flag")
+        monkeypatch.setattr(reports, "run_tasks", boom)
+        monkeypatch.setattr(FleetSimulator, "run", boom)
+        monkeypatch.setattr(InferenceServer, "serve_cold", boom)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--devices", "A100"], "--devices"),
+        (["--rate", "99"], "--rate"),
+        (["--scheme", "baseline"], "--scheme"),
+        (["--routing", "single"], "--routing"),
+        (["--autoscale", "fixed"], "--autoscale"),
+        (["--duration", "5"], "--duration"),
+        (["--telemetry"], "--telemetry"),
+        (["--scheme", "baseline", "--devices", "A100", "--rate", "99"],
+         "--scheme, --devices, --rate"),
+    ])
+    def test_frontier_rejects_scenario_flags(self, capsys, no_replay, flags,
+                                             named):
+        assert main(["fleet", "--frontier", *flags]) == 2
+        assert capsys.readouterr().out == (
+            f"error: --frontier runs a fixed scenario and would ignore "
+            f"{named}\n")
+
+    @pytest.mark.parametrize("mode", ["--resilience", "--packs"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--rate", "99"], "--rate"),
+        (["--seed", "3", "--crash-rate", "0.5"], "--seed, --crash-rate"),
+        (["--scheme", "baseline"], "--scheme"),
+        (["--timeline"], "--timeline"),
+    ])
+    def test_chaos_reports_reject_scenario_flags(self, capsys, no_replay,
+                                                 mode, flags, named):
+        assert main(["chaos", "res", mode, *flags]) == 2
+        assert capsys.readouterr().out == (
+            f"error: {mode} runs a fixed scenario and would ignore "
+            f"{named}\n")
+
+    def test_device_without_frontier_is_one_line_error(self, capsys,
+                                                       no_replay):
+        assert main(["fleet", "res", "--device", "A100"]) == 2
+        assert capsys.readouterr().out == (
+            "error: --device needs --frontier (a scenario's regions come "
+            "from --devices)\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-availability", "5"],
+         "--min-availability needs --resilience or --packs"),
+        (["--min-availability", "0.5"],
+         "--min-availability needs --resilience or --packs"),
+        (["--jobs", "2"], "--jobs needs --resilience or --packs"),
+        (["--jobs", "2", "--min-availability", "0.5"],
+         "--jobs and --min-availability need --resilience or --packs"),
+    ])
+    def test_report_flags_without_report_are_one_line_error(
+            self, capsys, no_replay, flags, message):
+        assert main(["chaos", "res", *flags]) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, needs", [
         (["chaos", "res"], "--resilience or --packs"),
         (["fleet", "res"], "--frontier"),

@@ -145,6 +145,22 @@ class TestProgram:
         program = lower(small_cnn(), library)
         assert program.total_parse_cost_s > 0
 
+    def test_metadata_is_read_only(self, library):
+        program = lower(small_cnn(), library)
+        with pytest.raises(TypeError):
+            program.metadata["upload_weights"] = True
+        with pytest.raises(TypeError):
+            del program.metadata["weight_bytes"]
+        assert "upload_weights" not in program.metadata
+
+    def test_metadata_is_copied_on_construction(self, library):
+        from repro.engine import Program
+        instructions = lower(small_cnn(), library).instructions
+        metadata = {"weight_bytes": 1}
+        program = Program("p", instructions, metadata=metadata)
+        metadata["weight_bytes"] = 2
+        assert program.metadata["weight_bytes"] == 1
+
 
 class TestSerialization:
     def test_round_trip_identity(self, library):
@@ -180,6 +196,44 @@ class TestRegistry:
         registry.compile_and_register(small_cnn())
         with pytest.raises(KeyError, match="small_cnn"):
             registry.load("missing")
+
+    def test_load_returns_the_stored_round_tripped_program(self, library):
+        registry = ModelRegistry(library)
+        key = registry.compile_and_register(small_cnn())
+        first = registry.load(key)
+        assert registry.load(key) is first
+        fresh = deserialize_program(serialize_program(lower(small_cnn(),
+                                                            library)))
+        assert first == fresh
+        assert first.engine_bundle == fresh.engine_bundle
+
+    def test_programs_share_equal_problems(self, library):
+        registry = ModelRegistry(library)
+        default = registry.load(registry.compile_and_register(
+            small_cnn(), key="a"))
+        native = registry.load(registry.compile_and_register(
+            small_cnn(), key="b",
+            options=LoweringOptions(native_layout_only=True)))
+        shared = [(x.problem, y.problem)
+                  for x, y in zip(default, native) if x.problem is not None]
+        assert shared and all(p is q for p, q in shared)
+
+    def test_warm_serve_makes_no_deserialization(self, monkeypatch):
+        from repro.engine import registry as registry_module
+        from repro.serving.server import InferenceServer
+        server = InferenceServer("MI100")
+        server.serve_cold("res")
+        calls = []
+        parse = registry_module.deserialize_program
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+        monkeypatch.setattr(registry_module, "deserialize_program", counting)
+        server.serve_cold("res")
+        assert calls == []
+        server.serve_cold("res", batch=2)   # a new program parses once
+        assert len(calls) == 1
 
     def test_register_prelowered(self, library):
         registry = ModelRegistry(library)

@@ -10,6 +10,7 @@ wall-clock extraction reads the field the budget actually gates.
 import importlib.util
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,14 @@ def budget_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _checked_in_entry(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "benchmarks", "trace_scaling_budget.json")
+    with open(path, encoding="utf-8") as handle:
+        entries = json.load(handle)["entries"]
+    return next(entry for entry in entries if entry["name"] == name)
 
 
 def _write_budget(tmp_path, entries, **top):
@@ -97,13 +106,34 @@ class TestEndToEnd:
 
     def test_cold_serve_budget_passes(self, budget_script, tmp_path,
                                       capsys):
+        events = _checked_in_entry("cold-serve-grid-breakdown")["events"]
         path = _write_budget(
             tmp_path,
-            [{"name": "grid", "kind": "cold-serve", "budget_s": 60.0}],
+            [{"name": "grid", "kind": "cold-serve", "events": events,
+              "budget_s": 60.0}],
             repeats=1)
         assert budget_script.main([path]) == 0
         out = capsys.readouterr().out
         assert "requests=72" in out and "records=" in out
+        assert f"events={events}" in out
+
+    def test_cold_serve_event_count_is_exact(self, budget_script, tmp_path,
+                                             capsys, monkeypatch):
+        """A count off by one fails the entry even well within its
+        wall-clock budget; fewer events than pinned fail too."""
+        def measure(entry, rate_hz):
+            return SimpleNamespace(wall_s=0.001, requests=72, records=1,
+                                   events=100)
+        monkeypatch.setattr(budget_script, "_measure", measure)
+        for pinned, code in ((100, 0), (101, 1), (99, 1)):
+            path = _write_budget(
+                tmp_path,
+                [{"name": "grid", "kind": "cold-serve", "events": pinned,
+                  "budget_s": 60.0}],
+                repeats=1)
+            assert budget_script.main([path]) == code
+            out = capsys.readouterr().out
+            assert ("ok" if code == 0 else f"EVENTS!={pinned}") in out
 
     def test_regression_exits_1(self, budget_script, tmp_path, capsys):
         path = _write_budget(
@@ -147,10 +177,19 @@ class TestEntryKeys:
     def test_unnamed_entry_is_named_by_index(self, budget_script, tmp_path,
                                              capsys, no_measuring):
         path = _write_budget(tmp_path, [
-            {"name": "ok", "kind": "cold-serve", "budget_s": 1.0},
-            {"kind": "cold-serve", "budget_s": 1.0}])
+            {"name": "ok", "kind": "cold-serve", "events": 1,
+             "budget_s": 1.0},
+            {"kind": "cold-serve", "events": 1, "budget_s": 1.0}])
         assert budget_script.main([path]) == 2
         assert capsys.readouterr().err == "entry '#1': missing key 'name'\n"
+
+    def test_cold_serve_needs_an_event_count(self, budget_script, tmp_path,
+                                             capsys, no_measuring):
+        path = _write_budget(tmp_path, [
+            {"name": "grid", "kind": "cold-serve", "budget_s": 1.0}])
+        assert budget_script.main([path]) == 2
+        assert capsys.readouterr().err == \
+            "entry 'grid': missing key 'events'\n"
 
     @pytest.mark.parametrize("kind", ["cluster", "fleet", "packs"])
     def test_entry_rate_overrides_file_rate(self, budget_script,

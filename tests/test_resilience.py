@@ -389,3 +389,54 @@ def test_resilience_metrics_surface_in_registry():
              for row in dump["cluster_resilience_total"]["series"]}
     assert "warm_restore" in kinds
     assert stats.faults.warm_restores > 0
+
+
+def _restore_config(fault_seed):
+    return ClusterConfig(scheme=Scheme.PASK, max_instances=2,
+                         keep_alive_s=5, resilience=ResiliencePolicy(),
+                         faults=FaultPlan(seed=fault_seed, crash_rate=0.2),
+                         fast_forward=False)
+
+
+def test_full_checkpoint_restore_serves_warm():
+    """A restart that restores the whole warm state re-enters the pool
+    warm: its next serve is a warm hit, never a cold start or a restore.
+    Every one of this replay's cold starts is a genuinely cold load."""
+    trace = poisson_trace("res", 25, 8, seed=3)
+    stats = ClusterSimulator(SERVER, _restore_config(1)).run(trace)
+    assert stats.faults.warm_restores == 9
+    assert stats.cold_starts == 24
+    assert stats.restores == 0
+    assert stats.completed + stats.failed + stats.shed == len(trace)
+
+
+def test_partial_checkpoint_restore_is_billed_as_restore():
+    """A restart from a checkpoint taken mid-ramp serves its first
+    request through the restore delta, not a cold start: outcome
+    RESTORE, outside ``cold_starts``, the cold request counter and the
+    cold-rate monitor."""
+    from repro.obs import MetricsRegistry
+    from repro.obs.monitors import SLOMonitorSet, SLOPolicy
+
+    observed_cold = []
+
+    class Monitors(SLOMonitorSet):
+        def observe_completed(self, t, latency, cold):
+            observed_cold.append(cold)
+            return super().observe_completed(t, latency, cold)
+
+    trace = poisson_trace("res", 25, 8, seed=3)
+    registry = MetricsRegistry()
+    stats = ClusterSimulator(
+        SERVER, _restore_config(5), metrics=registry,
+        monitors=Monitors(SLOPolicy(cold_rate_target=0.5))).run(trace)
+    # Without the restore outcome this replay counted 29 cold starts.
+    assert (stats.cold_starts, stats.restores) == (28, 1)
+    assert stats.warm_hits + stats.cold_starts + stats.restores \
+        == stats.completed
+    assert stats.completed + stats.failed + stats.shed == len(trace)
+    requests = registry.counter("cluster_requests_total")
+    assert requests.value(outcome="cold", scheme="PaSK") == 28
+    assert requests.value(outcome="restore", scheme="PaSK") == 1
+    assert len(observed_cold) == stats.completed
+    assert sum(observed_cold) == stats.cold_starts

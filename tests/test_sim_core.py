@@ -252,6 +252,29 @@ def test_events_scheduled_counts_every_schedule():
     assert env.events_scheduled == 3
 
 
+def test_on_processed_runs_in_the_processing_step_without_events():
+    env = Environment()
+    log = []
+    done = env.timeout(2.0, value="v")
+
+    def waiter():
+        value = yield done
+        log.append(("waiter", env.now, value))
+
+    env.process(waiter())
+    env.run(until=1.0)   # the waiter is now registered on ``done``
+    done.on_processed(lambda event: log.append(("callback", env.now,
+                                                event.value)))
+    before = env.events_scheduled
+    env.run()
+    # Registration order within the step; the callback itself adds
+    # nothing to the queue (only the waiter's termination is scheduled).
+    assert log == [("waiter", 2.0, "v"), ("callback", 2.0, "v")]
+    assert env.events_scheduled == before + 1
+    done.on_processed(lambda event: log.append(("late", env.now)))
+    assert log[-1] == ("late", 2.0)
+
+
 def test_all_of_collects_values_in_order():
     env = Environment()
     results = {}

@@ -43,6 +43,22 @@ def test_pask_overlaps_upload(plain, uploading):
 def test_upload_disabled_by_default(plain):
     program = plain._lowered("res", Scheme.BASELINE, 1)
     assert not program.metadata.get("upload_weights")
+    result = plain.serve_cold("res", Scheme.BASELINE)
+    assert not [r for r in result.trace.records
+                if r.label == "weight-upload"]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_every_cold_serve_uploads(scheme):
+    """Each cold serve is a fresh instance: the shared registered
+    program must not carry "already uploaded" from one serve to the
+    next."""
+    server = InferenceServer("MI100", upload_weights=True)
+    for _ in range(2):
+        result = server.serve_cold("vgg", scheme)
+        uploads = [r for r in result.trace.records
+                   if r.label == "weight-upload"]
+        assert len(uploads) == 1
 
 
 def test_session_uploads_once(uploading):
